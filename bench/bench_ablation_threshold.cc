@@ -1,4 +1,4 @@
-// Ablation: candidate-pruning threshold sensitivity (DESIGN.md ablation
+// Ablation: candidate-pruning threshold sensitivity (docs/benchmarks.md
 // index). Sweeps the fixed threshold fraction on the CP approach and
 // contrasts with the adaptive threshold used by `full`, on the nested
 // OPTIONAL queries where pruning matters most (q1.3, q1.4 on LUBM).

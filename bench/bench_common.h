@@ -1,6 +1,6 @@
 // Shared machinery for the experiment-reproduction benchmark binaries.
 //
-// Scale note (DESIGN.md): the paper runs LUBM at 0.5-2 B triples and
+// Scale note (docs/benchmarks.md): the paper runs LUBM at 0.5-2 B triples and
 // DBpedia V3.9 (830M). These harnesses reproduce every experiment's
 // *shape* at laptop scale — LUBM scale factors of a few universities
 // (~100k triples each) and a DBpedia-like graph of a few hundred thousand

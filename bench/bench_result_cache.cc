@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
     ServiceStatsSnapshot stats = fresh.Stats();
     deduped = stats.deduped;
     dedup_followers = stats.dedup_followers;
-    rc_hits = stats.result_cache_hits;
+    rc_hits = fresh.ResultCacheStats().hits;
     rc_oversize = fresh.ResultCacheStats().oversize;
   }
   std::cerr << "# dedup: fan_in=" << fan_in << " solo=" << solo_ms
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
     auto edb = MakeLubm(lubm, kind);
     QueryService::Options sopts;
     sopts.num_threads = 2;
-    sopts.enable_result_cache = false;  // measure execution, not the cache
+    sopts.result_cache_bytes = 0;  // measure execution, not the cache
     QueryService service(static_cast<const Database&>(*edb), sopts);
     EngineRun run;
     run.name = EngineKindName(kind);

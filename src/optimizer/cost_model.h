@@ -13,7 +13,7 @@
 // Result sizes of non-BGP nodes follow the assumed distribution of §5.1.1:
 // joins (AND, OPTIONAL) multiply, UNION adds.
 //
-// Deviation note (documented in DESIGN.md): when computing a site's local
+// Deviation note (documented in docs/transformations.md): when computing a site's local
 // cost we include the f_AND terms of *all* BGP children at the affected
 // levels, not only the transformed ones. Unchanged terms cancel in the
 // Δ-cost, and terms whose left/right sibling sizes change are accounted

@@ -1,28 +1,20 @@
 // Sharded LRU cache of parsed + transformed query plans.
 //
 // Parsing and multi-level transformation (transform_ms) are pure functions
-// of (query text, optimization mode) once the database is finalized, so a
-// concurrent query service can reuse plans across requests. The cache is
-// sharded to keep lock hold times short under many worker threads; each
-// shard is an independent LRU protected by its own mutex. Entries are
-// shared_ptrs, so an entry evicted while another thread still executes
-// against it stays alive until that execution finishes.
+// of (query text, optimization mode, database version), so a concurrent
+// query service can reuse plans across requests. Sharding, LRU order, the
+// version sweep and entry lifetime come from VersionedLru; this file adds
+// the plan value type and the cache key.
 #pragma once
 
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "betree/be_tree.h"
 #include "engine/executor.h"
+#include "server/versioned_lru.h"
 #include "sparql/ast.h"
 
 namespace sparqluo {
-
-class Counter;  // obs/metrics.h
 
 /// An immutable cached plan: the parsed query plus its (possibly
 /// transformed) BE-tree, already validated.
@@ -32,48 +24,15 @@ struct CachedPlan {
   TransformStats transform;  ///< Stats recorded when the plan was built.
 };
 
-class PlanCache {
+/// LRU of plans, one budget unit per entry (server/versioned_lru.h).
+class PlanCache : public VersionedLru<CachedPlan> {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    size_t entries = 0;
-  };
-
   /// `capacity` is the total entry budget, split evenly across `shards`.
-  explicit PlanCache(size_t capacity, size_t shards = 8);
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// Returns the cached plan for `key` (touching its LRU position), or null.
-  std::shared_ptr<const CachedPlan> Get(const std::string& key);
-
-  /// Inserts (or replaces) the plan for `key`, evicting the shard's least
-  /// recently used entry when over budget. `version` is the database
-  /// version the plan was built against (it is also baked into the key);
-  /// version-scoped eviction uses it after commits.
-  void Put(const std::string& key, std::shared_ptr<const CachedPlan> plan,
-           uint64_t version = 0);
-
-  Stats GetStats() const;
-
-  /// Drops every entry no reader can reach: one whose version is below
-  /// `current_version` and not in `pinned_versions` (sorted ascending).
-  /// Keeps hit/miss counters; removals count as evictions. The query
-  /// service calls this after each commit with the versions still pinned
-  /// by in-flight requests: plans for pinned older versions survive — a
-  /// request that snapshotted just before the commit still hits — while
-  /// entries for unreachable intermediate versions (published and
-  /// superseded while an old pin was held) stop occupying LRU budget.
-  void EvictUnreachable(uint64_t current_version,
-                        const std::vector<uint64_t>& pinned_versions);
-
-  /// Drops every entry (keeps hit/miss/eviction counters).
-  void Clear();
-
-  size_t capacity() const { return capacity_; }
+  explicit PlanCache(size_t capacity, size_t shards = 8)
+      : VersionedLru(
+            capacity, shards,
+            [](const std::string&, const CachedPlan&) -> size_t { return 1; },
+            "sparqluo_plan_cache", "Plan cache") {}
 
   /// Whitespace-normalized query text: runs of whitespace outside quoted
   /// literals collapse to one space so trivially reformatted queries share
@@ -89,35 +48,6 @@ class PlanCache {
   static std::string MakeKey(const std::string& text,
                              const ExecOptions& options,
                              uint64_t version = 0);
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const CachedPlan> plan;
-    uint64_t version = 0;  ///< Database version the plan was built against.
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used. The map indexes into the list.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    // Process-global mirrors (obs/metrics.h) with a shard="N" label,
-    // resolved at construction so the locked paths only bump atomics.
-    Counter* hits_metric = nullptr;
-    Counter* misses_metric = nullptr;
-    Counter* evictions_metric = nullptr;
-  };
-
-  Shard& ShardOf(const std::string& key);
-  const Shard& ShardOf(const std::string& key) const;
-
-  size_t capacity_;
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace sparqluo

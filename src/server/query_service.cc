@@ -32,12 +32,10 @@ void InvokeCompletion(const std::function<void(const Response&)>& hook,
 QueryService::QueryService(const Database& db, Options options)
     : db_(db),
       options_(options),
-      cache_(options.plan_cache_capacity, options.plan_cache_shards),
-      // A disabled result cache gets a zero byte budget: every Put is a
-      // no-op, Get always misses, and the sweep walks empty shards.
-      result_cache_(options.enable_result_cache ? options.result_cache_bytes
-                                                : 0,
-                    options.result_cache_shards),
+      cache_(kPlanCacheCapacity),
+      // A zero byte budget disables the result cache: every Put is
+      // refused, and the sweep walks one empty shard.
+      result_cache_(options.result_cache_bytes),
       stats_(options.enable_metrics) {
   assert(db.finalized() && "QueryService requires a finalized Database");
   if (options_.enable_metrics) {
@@ -149,8 +147,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
       response.status = Status::Internal("query threw an unknown exception");
     }
     stats_.RecordFinished(response.status, response.metrics, response.total_ms,
-                          response.plan_cache_hit, response.rows.size(),
-                          response.result_cache_hit, response.deduped);
+                          response.rows.size(), response.deduped);
     if (options_.slow_query_ms > 0 &&
         response.total_ms >= options_.slow_query_ms) {
       stats_.RecordSlowQuery();
@@ -385,14 +382,15 @@ QueryResponse QueryService::Process(Task& task) {
   // One key serves all three sharing layers: it carries the query form,
   // the normalized text, the plan-relevant option toggles and the pinned
   // version, so anything it matches is byte-identical by construction.
-  const bool want_key = options_.enable_plan_cache ||
-                        options_.enable_result_cache || options_.enable_dedup;
+  const bool use_result_cache = options_.result_cache_bytes > 0;
+  const bool want_key = options_.enable_plan_cache || use_result_cache ||
+                        options_.enable_dedup;
   std::string key;
   if (want_key) key = PlanCache::MakeKey(req.text, options, snap->id);
 
   // Result cache: a hit is the whole response — rows and the plan that
   // produced them — with zero engine work.
-  if (options_.enable_result_cache) {
+  if (use_result_cache) {
     ScopedSpan lookup_span(trace, "result_cache_lookup", root);
     std::shared_ptr<const CachedResult> hit = result_cache_.Get(key);
     lookup_span.Attr("hit", hit != nullptr ? "true" : "false");
@@ -549,7 +547,7 @@ QueryResponse QueryService::Process(Task& task) {
   response.plan = std::move(plan);
 
   if (response.status.ok() &&
-      (options_.enable_result_cache || publish.entry != nullptr)) {
+      (use_result_cache || publish.entry != nullptr)) {
     // One shared immutable copy serves both sharing layers: the result
     // cache keeps it for future requests, and waiting followers copy
     // their rows out of it. Only successful responses are ever published
@@ -558,8 +556,7 @@ QueryResponse QueryService::Process(Task& task) {
     auto shared = std::make_shared<CachedResult>();
     shared->rows = response.rows;
     shared->plan = response.plan;
-    if (options_.enable_result_cache)
-      result_cache_.Put(key, shared, snap->id);
+    if (use_result_cache) result_cache_.Put(key, shared, snap->id);
     if (publish.entry != nullptr) {
       if (publish.entry->waiters.load(std::memory_order_relaxed) > 0 &&
           dedup_leaders_metric_ != nullptr)

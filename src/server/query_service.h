@@ -23,7 +23,8 @@
 //     cached plan (after each commit, eviction is version-scoped: entries
 //     for the new current version or a version an in-flight request still
 //     pins survive, every unreachable entry is dropped),
-//   - a byte-budgeted result cache (server/result_cache.h) one level up:
+//   - a byte-budgeted result cache (server/result_cache.h) one level up,
+//     the same VersionedLru (server/versioned_lru.h) charged by bytes:
 //     repeat queries against an unchanged version are served their full
 //     finished rows without touching the engines, invalidated by the same
 //     post-commit version-reachability sweep as the plan cache — both run
@@ -38,8 +39,9 @@
 //   - serialized, admission-controlled updates (SubmitUpdate) that report
 //     per-commit stats into the service counters,
 //   - thread-safe aggregation of per-query ExecMetrics/BgpEvalCounters into
-//     service-level counters (QPS, p50/p99 latency, cache hit rate, aborts,
-//     morsel counts).
+//     service-level counters (QPS, p50/p99 latency, aborts, morsel
+//     counts); the caches count their own hits and misses (CacheStats,
+//     ResultCacheStats).
 //
 // The same freeze-then-serve organization RDF-3x-style stores use: load,
 // Finalize, then serve reads from arbitrarily many threads.
@@ -142,6 +144,9 @@ struct UpdateRequest {
 
 class QueryService {
  public:
+  /// Plan-cache entry budget (both caches use the default 8 shards).
+  static constexpr size_t kPlanCacheCapacity = 512;
+
   struct Options {
     /// Worker threads when the service creates its own pool (the in-flight
     /// bound). 0 = hardware concurrency. Ignored when `pool` is set.
@@ -149,17 +154,14 @@ class QueryService {
     /// Pending submissions beyond the in-flight bound; submissions past
     /// this are rejected immediately (admission control).
     size_t max_queue = 1024;
+    /// Plan cache: kPlanCacheCapacity parsed + transformed plans.
     bool enable_plan_cache = true;
-    size_t plan_cache_capacity = 512;
-    size_t plan_cache_shards = 8;
     /// Result cache: successful responses keyed by (normalized text,
     /// plan-relevant options, database version) are served without
     /// touching the engines. Invalidated by the same post-commit
     /// version-reachability sweep as the plan cache (InvalidateCaches).
-    bool enable_result_cache = true;
-    /// Total result-cache payload budget in bytes, split across shards.
+    /// This is the total payload budget in bytes; 0 disables the cache.
     size_t result_cache_bytes = 64ull << 20;
-    size_t result_cache_shards = 8;
     /// In-flight dedup: a submission whose cache key matches one already
     /// executing waits on the leader's result instead of executing. The
     /// follower's deadline/cancellation applies only to its own wait (it

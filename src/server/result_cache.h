@@ -2,139 +2,61 @@
 //
 // One level above the plan cache: where a plan-cache hit skips parsing and
 // transformation but still re-executes the BGPs, a result-cache hit serves
-// the finished BindingSet without touching the engines at all. Soundness
-// comes from the same two properties the plan cache relies on:
+// the finished BindingSet without touching the engines at all. Both caches
+// are instances of VersionedLru (server/versioned_lru.h), so soundness
+// comes from the same two properties:
 //
 //   - entries are keyed by PlanCache::MakeKey — the normalized query text,
 //     the plan-relevant option toggles, and the DatabaseVersion the query
 //     executed against — so results can never be served across versions,
-//   - commits run the same version-reachability sweep (EvictUnreachable)
-//     over both caches through QueryService::InvalidateCaches: an entry
+//   - commits run the version-reachability sweep (EvictUnreachable) over
+//     both caches through QueryService::InvalidateCaches: an entry
 //     survives a commit only while its version is the current one or is
 //     still pinned by an in-flight request.
 //
 // Budgeting is by bytes, not entries: result sizes span six orders of
 // magnitude (an ASK row vs a million-row SELECT), so an entry budget would
 // either starve small results or let a handful of giants own all memory.
-// Each shard holds budget/shards bytes; an entry larger than a whole
-// shard's budget is not cached at all (it would only evict everything else
-// and then be evicted itself by the next insert).
-//
-// Entries are shared_ptr<const CachedResult>, so an entry evicted while a
-// hit is still copying from it stays alive until that reader finishes —
-// the same lifetime discipline as CachedPlan.
+// A result larger than a whole shard's budget is not cached at all.
 #pragma once
 
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "algebra/binding_set.h"
 #include "server/plan_cache.h"
+#include "server/versioned_lru.h"
 
 namespace sparqluo {
-
-class Counter;  // obs/metrics.h
-class Gauge;    // obs/metrics.h
 
 /// An immutable finished result: the rows plus the plan that produced them
 /// (serializers need the plan's Query — variable names and query form — to
 /// render the rows; sharing it also re-warms the plan on a result hit).
+/// Only successful results may be cached — callers must never Put a
+/// failed or aborted response.
 struct CachedResult {
   BindingSet rows;
   std::shared_ptr<const CachedPlan> plan;
 };
 
-class ResultCache {
+/// LRU of results, charged EntryBytes per entry. A budget of 0 refuses
+/// every Put; QueryService uses it for a disabled result cache.
+class ResultCache : public VersionedLru<CachedResult> {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;   ///< LRU + version-sweep removals.
-    uint64_t oversize = 0;    ///< Results too large to cache at all.
-    size_t entries = 0;
-    size_t bytes = 0;         ///< Resident payload bytes across shards.
-  };
-
-  /// `byte_budget` is the total payload budget, split evenly across
-  /// `shards`. A budget of 0 disables insertion (every Put is a no-op),
-  /// which keeps a disabled cache cheap without branching at call sites.
-  explicit ResultCache(size_t byte_budget, size_t shards = 8);
-
-  ResultCache(const ResultCache&) = delete;
-  ResultCache& operator=(const ResultCache&) = delete;
-
-  /// Returns the cached result for `key` (touching its LRU position), or
-  /// null. Keys come from PlanCache::MakeKey, so the database version is
-  /// part of the key.
-  std::shared_ptr<const CachedResult> Get(const std::string& key);
-
-  /// Inserts (or replaces) the result for `key`, evicting least recently
-  /// used entries until the shard is back under its byte budget.
-  /// `version` is the database version the result was computed against
-  /// (also baked into the key); the post-commit reachability sweep uses
-  /// it. Only successful results may be cached — callers must never Put a
-  /// failed or aborted response.
-  void Put(const std::string& key, std::shared_ptr<const CachedResult> result,
-           uint64_t version);
-
-  Stats GetStats() const;
-
-  /// Drops every entry no reader can reach: one whose version is below
-  /// `current_version` and not in `pinned_versions` (sorted ascending).
-  /// Identical semantics to PlanCache::EvictUnreachable — QueryService
-  /// runs both sweeps from one InvalidateCaches hook after each commit.
-  void EvictUnreachable(uint64_t current_version,
-                        const std::vector<uint64_t>& pinned_versions);
-
-  /// Drops every entry (keeps hit/miss/eviction counters).
-  void Clear();
-
-  size_t byte_budget() const { return byte_budget_; }
+  explicit ResultCache(size_t byte_budget, size_t shards = 8)
+      : VersionedLru(byte_budget, shards, &EntryBytes, "sparqluo_result_cache",
+                     "Result cache", "bytes") {}
 
   /// Accounted size of one entry: the rows' cell payload plus the key
   /// (which each shard stores twice: list entry + index).
-  static size_t EntryBytes(const std::string& key, const CachedResult& result);
-
- private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const CachedResult> result;
-    uint64_t version = 0;
-    size_t bytes = 0;
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used. The map indexes into the list.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    size_t bytes = 0;  ///< Sum of Entry::bytes currently resident.
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t oversize = 0;
-    // Process-global mirrors (obs/metrics.h) with a shard="N" label,
-    // resolved at construction so the locked paths only bump atomics.
-    Counter* hits_metric = nullptr;
-    Counter* misses_metric = nullptr;
-    Counter* evictions_metric = nullptr;
-    Gauge* bytes_metric = nullptr;
-    Gauge* entries_metric = nullptr;
-  };
-
-  /// Drops the shard's LRU tail until it fits its budget. Caller holds
-  /// shard.mu.
-  void EvictOverBudgetLocked(Shard& shard);
-
-  Shard& ShardOf(const std::string& key);
-
-  size_t byte_budget_;
-  size_t per_shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  static size_t EntryBytes(const std::string& key, const CachedResult& result) {
+    // Width-0 results (ASK, SELECT over no variables) carry no cells but
+    // still occupy an entry; charge a row-count-independent floor so a
+    // million cached ASKs cannot be "free".
+    size_t cells = result.rows.width() == 0
+                       ? result.rows.size()
+                       : result.rows.size() * result.rows.width();
+    return cells * sizeof(TermId) + 2 * key.size() + sizeof(Entry) + 64;
+  }
 };
 
 }  // namespace sparqluo

@@ -35,9 +35,6 @@ struct ServiceStatsSnapshot {
   uint64_t aborted_deadline = 0;
   uint64_t aborted_cancelled = 0;
   uint64_t aborted_row_limit = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t result_cache_hits = 0;  ///< Served straight from the result cache.
   /// Requests that joined an identical in-flight leader (counted when the
   /// wait starts, whether or not the leader's result was ultimately used).
   uint64_t dedup_followers = 0;
@@ -62,11 +59,6 @@ struct ServiceStatsSnapshot {
   uint64_t triples_deleted = 0;    ///< Net deletes across all commits.
   uint64_t store_version = 0;      ///< Highest version seen by a commit.
   double total_commit_ms = 0.0;
-
-  double CacheHitRate() const {
-    uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
 };
 
 class ServiceStats {
@@ -94,11 +86,11 @@ class ServiceStats {
   }
 
   /// One finished request: its status-derived outcome, metrics, end-to-end
-  /// latency and whether the plan/result came from a cache or a deduped
-  /// leader.
+  /// latency and whether its rows came from a deduped leader. Cache hits
+  /// are counted by the caches themselves (QueryService::CacheStats,
+  /// ResultCacheStats).
   void RecordFinished(const Status& status, const ExecMetrics& metrics,
-                      double latency_ms, bool cache_hit, size_t rows,
-                      bool result_cache_hit = false, bool deduped = false) {
+                      double latency_ms, size_t rows, bool deduped = false) {
     std::lock_guard<std::mutex> lock(mu_);
     if (status.ok()) {
       ++snap_.completed;
@@ -118,12 +110,6 @@ class ServiceStats {
       ++snap_.failed;
       if (enabled_) failed_metric_->Increment();
     }
-    if (cache_hit) {
-      ++snap_.cache_hits;
-    } else {
-      ++snap_.cache_misses;
-    }
-    if (result_cache_hit) ++snap_.result_cache_hits;
     if (deduped) {
       ++snap_.deduped;
       if (enabled_) deduped_metric_->Increment();

@@ -1,6 +1,6 @@
 // DBpedia-shaped synthetic dataset generator.
 //
-// Substitution (see DESIGN.md): the paper evaluates on the real DBpedia
+// Substitution (see docs/benchmarks.md): the paper evaluates on the real DBpedia
 // V3.9 dump (830M triples), which is unavailable here. This generator
 // produces an encyclopedic graph with the same *selectivity structure* the
 // paper's analysis relies on:

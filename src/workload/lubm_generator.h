@@ -11,7 +11,7 @@
 // One university yields roughly 100k triples, matching real LUBM(1)'s
 // density. (Substitution note: the paper runs LUBM at 0.5-2 billion
 // triples; we reproduce the generator logic and sweep the scale factor at
-// laptop scale — see DESIGN.md.)
+// laptop scale — see docs/benchmarks.md.)
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Property-based tests: random graphs x random SPARQL-UO queries, checking
-// the core invariants of DESIGN.md §6:
+// the core invariants:
 //   1. base == TT == CP == full == binary-tree oracle (as bags)
 //   2. Theorems 1 and 2 hold on random patterns
 //   3. merge/inject preserve BE-tree validity and evaluation results

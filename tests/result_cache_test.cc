@@ -89,14 +89,15 @@ TEST(ResultCacheTest, HitReturnsSharedResultMissReturnsNull) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_GT(stats.cost, 0u);
 }
 
 TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   auto result = MakeResult(10, 2);
   const size_t entry = ResultCache::EntryBytes("a", *result);
   // Room for two entries but not three.
-  ResultCache cache(2 * entry + entry / 2, /*shards=*/1);
+  const size_t budget = 2 * entry + entry / 2;
+  ResultCache cache(budget, /*shards=*/1);
   cache.Put("a", result, 0);
   cache.Put("b", result, 0);
   EXPECT_NE(cache.Get("a"), nullptr);  // touch a; b is now LRU
@@ -107,7 +108,7 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   ResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_LE(stats.bytes, cache.byte_budget());
+  EXPECT_LE(stats.cost, budget);
 }
 
 TEST(ResultCacheTest, OversizeResultIsNeverCached) {
@@ -154,16 +155,21 @@ TEST(ResultCacheTest, EvictUnreachableIsVersionScoped) {
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
-TEST(ResultCacheTest, ClearDropsEntriesKeepsCounters) {
-  ResultCache cache(/*byte_budget=*/1 << 20, /*shards=*/2);
-  cache.Put("a", MakeResult(2, 1), 0);
-  ASSERT_NE(cache.Get("a"), nullptr);
-  cache.Clear();
-  EXPECT_EQ(cache.Get("a"), nullptr);
+// Same-key Put, the path concurrent executors race on: the newest value
+// replaces the entry in place and the shard is charged its cost only.
+TEST(ResultCacheTest, SameKeyPutReplacesAndRecharges) {
+  ResultCache cache(/*byte_budget=*/1 << 20, /*shards=*/1);
+  auto r1 = MakeResult(2, 1);
+  auto r2 = MakeResult(50, 3);
+  cache.Put("k", r1, 0);
+  cache.Put("k", r2, 0);
+  auto hit = cache.Get("k");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit.get(), r2.get());
   ResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.hits, 1u);  // pre-Clear counters survive
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.cost, ResultCache::EntryBytes("k", *r2));
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 // --- Byte-identity of cached responses ----------------------------------
@@ -598,7 +604,7 @@ TEST(CachePinLifecycleTest, DisabledResultCacheNeverServesRepeats) {
 
   QueryService::Options options;
   options.num_threads = 1;
-  options.enable_result_cache = false;
+  options.result_cache_bytes = 0;
   options.enable_dedup = false;
   QueryService service(static_cast<const Database&>(db), options);
 

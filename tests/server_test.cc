@@ -143,7 +143,7 @@ TEST_P(QueryServiceTest, PlanCacheHitSkipsTransformAndMatches) {
   sopts.num_threads = 1;  // serialize so hit/miss order is deterministic
   // This test exercises the plan-cache layer; without this the repeat is
   // served from the result cache and never consults the plan cache.
-  sopts.enable_result_cache = false;
+  sopts.result_cache_bytes = 0;
   QueryService service(db_, sopts);
 
   const std::string q = LubmPaperQueries()[0].sparql;
@@ -168,6 +168,30 @@ TEST_P(QueryServiceTest, PlanCacheHitSkipsTransformAndMatches) {
   EXPECT_EQ(cache.hits, 1u);
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.entries, 1u);
+}
+
+// Cache accounting with both caches on: the first request misses both, and
+// every repeat is a result-cache hit that never consults the plan cache.
+TEST_P(QueryServiceTest, RepeatsCountAsResultCacheHitsOnly) {
+  QueryService::Options sopts;
+  sopts.num_threads = 1;
+  QueryService service(db_, sopts);
+
+  QueryRequest req;
+  req.text = LubmPaperQueries()[0].sparql;
+  req.options = GuardedFull();
+  for (int i = 0; i < 5; ++i) {
+    QueryResponse r = service.Submit(req).get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.result_cache_hit, i > 0);
+  }
+  PlanCache::Stats plan = service.CacheStats();
+  EXPECT_EQ(plan.hits, 0u);
+  EXPECT_EQ(plan.misses, 1u);
+  ResultCache::Stats result = service.ResultCacheStats();
+  EXPECT_EQ(result.hits, 4u);
+  EXPECT_EQ(result.misses, 1u);
+  EXPECT_EQ(service.Stats().completed, 5u);
 }
 
 // Admission control: a full queue rejects with kOverloaded — a status
@@ -406,7 +430,7 @@ TEST(QueryServiceUpdateCacheTest, CommitEvictsOnlyUnreachableVersions) {
   QueryService::Options options;
   options.num_threads = 2;
   // Plan-cache-layer test: keep repeats off the result-cache fast path.
-  options.enable_result_cache = false;
+  options.result_cache_bytes = 0;
   QueryService service(db, options);
   const std::string q = "SELECT ?s WHERE { ?s <http://ex.org/p> ?o }";
 
@@ -448,8 +472,7 @@ TEST(ServiceStatsTest, PercentilesKeepMovingPastOldSampleCap) {
   ExecMetrics m;
   Status ok;
   for (size_t i = 0; i < kOldCap + 500; ++i)
-    stats.RecordFinished(ok, m, /*latency_ms=*/1.0, /*cache_hit=*/true,
-                         /*rows=*/0);
+    stats.RecordFinished(ok, m, /*latency_ms=*/1.0, /*rows=*/0);
   ServiceStatsSnapshot before = stats.Snapshot();
   EXPECT_GT(before.latency_samples, kOldCap);  // never capped
   EXPECT_NEAR(before.p50_ms, 1.0, 0.1);
@@ -457,8 +480,7 @@ TEST(ServiceStatsTest, PercentilesKeepMovingPastOldSampleCap) {
   // Everything after the old cap would have been dropped by the vector
   // design; here it must drag both the median and the tail up.
   for (size_t i = 0; i < 4 * kOldCap; ++i)
-    stats.RecordFinished(ok, m, /*latency_ms=*/50.0, /*cache_hit=*/true,
-                         /*rows=*/0);
+    stats.RecordFinished(ok, m, /*latency_ms=*/50.0, /*rows=*/0);
   ServiceStatsSnapshot after = stats.Snapshot();
   EXPECT_EQ(after.latency_samples, kOldCap + 500 + 4 * kOldCap);
   EXPECT_NEAR(after.p50_ms, 50.0, 2.0);
@@ -472,7 +494,7 @@ TEST(ServiceStatsTest, DisabledMetricsSkipHistogram) {
   ServiceStats stats(/*enable_metrics=*/false);
   EXPECT_FALSE(stats.metrics_enabled());
   ExecMetrics m;
-  stats.RecordFinished(Status(), m, 5.0, false, 3);
+  stats.RecordFinished(Status(), m, 5.0, 3);
   ServiceStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.completed, 1u);
   EXPECT_EQ(snap.rows_returned, 3u);

@@ -432,7 +432,7 @@ TEST(PlanCacheConformance, ServiceServesFormsFromDistinctEntries) {
   QueryService::Options sopts;
   sopts.num_threads = 2;
   // Plan-cache-layer test: keep repeats off the result-cache fast path.
-  sopts.enable_result_cache = false;
+  sopts.result_cache_bytes = 0;
   QueryService service(static_cast<const Database&>(fx.db), sopts);
   std::string where = "WHERE { ?s " + I("type") + " ?t }";
   std::string select = "SELECT ?s ?t " + where;

@@ -637,7 +637,7 @@ TEST_P(UpdateServiceTest, PlanCacheInvalidatedAcrossVersions) {
   QueryService::Options sopts;
   sopts.num_threads = 2;
   // Plan-cache-layer test: keep repeats off the result-cache fast path.
-  sopts.enable_result_cache = false;
+  sopts.result_cache_bytes = 0;
   QueryService service(db_, sopts);
 
   QueryRequest req;

@@ -71,8 +71,8 @@
 // anything else runs as a query. With --concurrency N, blocks are served
 // through a QueryService: queries are submitted concurrently, updates act
 // as barriers (pending queries drain, the update commits, serving
-// resumes), and aggregate service stats (QPS, p50/p99, cache hit rate,
-// commits) are printed instead of result rows.
+// resumes), and aggregate service stats (QPS, p50/p99, plan- and
+// result-cache hit rates, commits) are printed instead of result rows.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -430,9 +430,8 @@ int RunService(Database& db, const CliOptions& opts,
   QueryService::Options sopts;
   sopts.num_threads = opts.concurrency;
   sopts.enable_plan_cache = opts.plan_cache;
-  sopts.enable_result_cache = opts.result_cache;
   sopts.enable_dedup = opts.result_cache;
-  sopts.result_cache_bytes = opts.result_cache_mb << 20;
+  sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
   sopts.intra_query_parallelism = opts.parallelism;
   sopts.trace_queries = sink->collect || opts.explain_analyze;
   sopts.slow_query_ms = opts.slow_query_ms;
@@ -496,6 +495,10 @@ int RunService(Database& db, const CliOptions& opts,
   drain();
   double wall_ms = timer.ElapsedMillis();
   ServiceStatsSnapshot stats = service.Stats();
+  auto hit_rate = [](const auto& cache) {
+    uint64_t lookups = cache.hits + cache.misses;
+    return lookups == 0 ? 0.0 : static_cast<double>(cache.hits) / lookups;
+  };
   std::cout << "queries\t" << query_count << "\n"
             << "threads\t" << service.num_threads() << "\n"
             << "wall_ms\t" << wall_ms << "\n"
@@ -512,7 +515,10 @@ int RunService(Database& db, const CliOptions& opts,
             << "aborted_deadline\t" << stats.aborted_deadline << "\n"
             << "aborted_row_limit\t" << stats.aborted_row_limit << "\n"
             << "rejected\t" << stats.rejected << "\n"
-            << "cache_hit_rate\t" << stats.CacheHitRate() << "\n"
+            << "plan_cache_hit_rate\t" << hit_rate(service.CacheStats())
+            << "\n"
+            << "result_cache_hit_rate\t"
+            << hit_rate(service.ResultCacheStats()) << "\n"
             << "morsels\t" << stats.bgp.morsels << "\n"
             << "updates_committed\t" << stats.updates_committed << "\n"
             << "store_version\t" << stats.store_version << "\n"
@@ -531,9 +537,8 @@ int RunServe(Database& db, const CliOptions& opts) {
   QueryService::Options sopts;
   sopts.num_threads = opts.concurrency;  // 0 = hardware threads
   sopts.enable_plan_cache = opts.plan_cache;
-  sopts.enable_result_cache = opts.result_cache;
   sopts.enable_dedup = opts.result_cache;
-  sopts.result_cache_bytes = opts.result_cache_mb << 20;
+  sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
   sopts.intra_query_parallelism = opts.parallelism;
   sopts.slow_query_ms = opts.slow_query_ms;
   sopts.slow_query_sample = opts.slow_query_sample;
