@@ -14,9 +14,9 @@
 // the choice affects speed only — cached plans, cached results and deduped
 // responses stay byte-identical regardless of which engine ran.
 //
-// The decision is recorded in BgpEvalCounters (wco_evals / hashjoin_evals);
-// the executor stamps it on the BGP's trace span so --explain-analyze
-// shows which engine evaluated each BGP.
+// The delegate counts its own evaluation in BgpEvalCounters (wco_evals /
+// hashjoin_evals); the executor stamps it on the BGP's trace span so
+// --explain-analyze shows which engine evaluated each BGP.
 #pragma once
 
 #include "bgp/engine.h"
@@ -36,15 +36,14 @@ class AdaptiveEngine : public BgpEngine {
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
                       BgpEvalCounters* counters,
                       const CancelToken* cancel) const override {
-    return Pick(bgp, counters).Evaluate(bgp, cands, counters, cancel);
+    return ChooseFor(bgp).Evaluate(bgp, cands, counters, cancel);
   }
 
   BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
                               BgpEvalCounters* counters,
                               const CancelToken* cancel,
                               const ParallelSpec& spec) const override {
-    return Pick(bgp, counters).ParallelEvaluate(bgp, cands, counters, cancel,
-                                                spec);
+    return ChooseFor(bgp).ParallelEvaluate(bgp, cands, counters, cancel, spec);
   }
 
   /// The cost the engine will actually pay: the cheaper of the two models.
@@ -69,18 +68,6 @@ class AdaptiveEngine : public BgpEngine {
   }
 
  private:
-  const BgpEngine& Pick(const Bgp& bgp, BgpEvalCounters* counters) const {
-    const BgpEngine& chosen = ChooseFor(bgp);
-    if (counters != nullptr) {
-      if (&chosen == static_cast<const BgpEngine*>(&wco_)) {
-        ++counters->wco_evals;
-      } else {
-        ++counters->hashjoin_evals;
-      }
-    }
-    return chosen;
-  }
-
   WcoEngine wco_;
   HashJoinEngine hashjoin_;
 };

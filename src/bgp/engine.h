@@ -26,9 +26,10 @@ struct BgpEvalCounters {
   uint64_t index_probes = 0;       ///< Store scans issued.
   uint64_t candidates_pruned = 0;  ///< Extensions rejected by candidate sets.
   uint64_t morsels = 0;            ///< Morsel tasks run by parallel paths.
-  /// Per-BGP engine decisions made by the adaptive engine (both stay 0
-  /// under a fixed engine). The executor diffs these around each BGP to
-  /// stamp the chosen engine on the BGP's trace span.
+  /// BGP evaluations, each counted by the engine that ran it (under the
+  /// adaptive engine, by the delegate it picked). Counters are fresh per
+  /// BGP, so the executor reads them to stamp the engine on the BGP's
+  /// trace span.
   uint64_t wco_evals = 0;
   uint64_t hashjoin_evals = 0;
 

@@ -3,8 +3,9 @@
 // Evaluation is split into:
 //   1. BuildPlan   — resolve constants, partition patterns, and fix the
 //                    vertex extension order. The order is a pure function
-//                    of the BGP and the store's counts, never of partial
-//                    binding contents, so every morsel follows it.
+//                    of the BGP, the store's counts and the candidate-set
+//                    sizes, never of partial binding contents, so every
+//                    morsel follows it.
 //   2. ExtendStep  — one vertex extension over a set of partial bindings.
 //   3. CompleteRows— the remaining extensions + core verification +
 //                    residual expansion for a subset of partial bindings.
@@ -103,8 +104,10 @@ size_t IndexOf(const std::vector<VarId>& vars, VarId v) {
 
 /// Resolves and partitions the BGP and fixes the extension order by
 /// replaying the greedy next-variable choice over the simulated bound set.
+/// Candidate-set sizes count as seed sizes, so a small candidate set pulls
+/// its variable to the front.
 WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
-                  const Dictionary& dict) {
+                  const Dictionary& dict, const CandidateMap* cands) {
   WcoPlan plan;
   for (const TriplePattern& t : bgp.triples) {
     ResolvedPattern r = Resolve(t, dict);
@@ -136,9 +139,12 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
   }
 
   // Estimated seed size of a variable: min over incident edges of the edge's
-  // match count with constants bound (cheap index counts).
+  // match count with constants bound (cheap index counts), and over its
+  // candidate set's size.
   auto seed_count = [&](VarId v) -> double {
     double best = 1e300;
+    if (const CandidateMap::Set* cs = cands ? cands->Get(v) : nullptr)
+      best = static_cast<double>(cs->size());
     for (const CoreEdge& e : plan.core) {
       if (e.r.sv != v && e.r.ov != v) continue;
       TriplePatternIds q;
@@ -195,12 +201,34 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
   return plan;
 }
 
+/// The projection of edge `e` onto its `v_is_subj` end, restricted to
+/// `cands`: the sorted candidates with at least one matching triple, one
+/// index probe each. Equals projection ∩ candidates without enumerating the
+/// projection.
+std::vector<TermId> SeedFromCandidates(const TripleStore& store,
+                                       const CoreEdge& e, bool v_is_subj,
+                                       const CandidateMap::Set& cands,
+                                       BgpEvalCounters* counters,
+                                       TripleStore::ProbeHint* hint) {
+  std::vector<TermId> kept(cands.begin(), cands.end());
+  std::sort(kept.begin(), kept.end());
+  TriplePatternIds q;
+  q.p = e.r.p;
+  auto absent = [&](TermId c) {
+    (v_is_subj ? q.s : q.o) = c;
+    if (counters) ++counters->index_probes;
+    return store.Count(q, hint) == 0;
+  };
+  kept.erase(std::remove_if(kept.begin(), kept.end(), absent), kept.end());
+  return kept;
+}
+
 /// Extends every partial binding in `rows` (columns = plan.var_order[0..step))
 /// with plan.var_order[step]. The per-row logic is independent across rows.
-Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
-                const Rows& rows, const CandidateMap* cands,
-                BgpEvalCounters* counters, CancelCheckpoint& chk,
-                TripleStore::ProbeHint* hint) {
+Rows ExtendStep(const TripleStore& store, const Statistics& stats,
+                const WcoPlan& plan, size_t step, const Rows& rows,
+                const CandidateMap* cands, BgpEvalCounters* counters,
+                CancelCheckpoint& chk, TripleStore::ProbeHint* hint) {
   const VarId next = plan.var_order[step];
   auto col_of = [&](VarId v) -> size_t {
     for (size_t i = 0; i < step; ++i)
@@ -209,6 +237,10 @@ Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
   };
   const CandidateMap::Set* cand_set =
       cands != nullptr ? cands->Get(next) : nullptr;
+  // A projection seed is row-independent; with a candidate set smaller
+  // than the edge it is built once, from the candidates, on first use.
+  std::vector<TermId> seeded;
+  bool seeded_built = false;
   Rows next_rows;
   std::vector<TermId> cand_list;
   std::vector<TermId> edge_list;
@@ -271,6 +303,25 @@ Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
           }
         }
         if (better_exists) continue;
+        const PredicateStats& ps = stats.ForPredicate(e.r.p);
+        if (cand_set != nullptr && cand_set->size() < ps.count) {
+          // Candidate-seeded projection: probe the candidates instead of
+          // scanning the edge. The projection values left out count as
+          // pruned, exactly as the filter below would have counted them.
+          if (!seeded_built) {
+            seeded = SeedFromCandidates(store, e, v_is_subj, *cand_set,
+                                        counters, hint);
+            seeded_built = true;
+          }
+          uint64_t projected =
+              v_is_subj ? ps.distinct_subjects : ps.distinct_objects;
+          if (counters && projected > seeded.size())
+            counters->candidates_pruned += projected - seeded.size();
+          cand_list = seeded;
+          first_edge = false;
+          if (cand_list.empty()) dead = true;
+          break;
+        }
       }
       edge_list.clear();
       AdjacencyList(store, e, v_is_subj, other, &edge_list, counters, hint);
@@ -324,16 +375,18 @@ Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
 /// Runs extension steps [first_step, end), core edge verification and
 /// residual pattern expansion over one subset of partial bindings. The
 /// result rows follow plan.final_vars; rows are NOT yet deduplicated.
-Rows CompleteRows(const TripleStore& store, const WcoPlan& plan,
-                  size_t first_step, Rows rows, const CandidateMap* cands,
-                  BgpEvalCounters* counters, const CancelToken* cancel) {
+Rows CompleteRows(const TripleStore& store, const Statistics& stats,
+                  const WcoPlan& plan, size_t first_step, Rows rows,
+                  const CandidateMap* cands, BgpEvalCounters* counters,
+                  const CancelToken* cancel) {
   CancelCheckpoint chk(cancel);
   // One adaptive probe hint per morsel: rows arrive sorted by their seed
   // column, so consecutive extension and verification probes hit nearby
   // level-1 buckets and the galloping lookup pays O(1) amortized.
   TripleStore::ProbeHint hint;
   for (size_t step = first_step; step < plan.var_order.size(); ++step) {
-    rows = ExtendStep(store, plan, step, rows, cands, counters, chk, &hint);
+    rows = ExtendStep(store, stats, plan, step, rows, cands, counters, chk,
+                      &hint);
     if (rows.empty()) return rows;
   }
 
@@ -443,6 +496,7 @@ BindingSet EmitRows(Rows rows, const WcoPlan& plan,
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                BgpEvalCounters* counters,
                                const CancelToken* cancel) const {
+  if (counters) ++counters->wco_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);
@@ -451,10 +505,11 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
   Rows rows{{}};  // one empty partial binding
-  rows = CompleteRows(store_, plan, 0, std::move(rows), cands, counters, cancel);
+  rows = CompleteRows(store_, stats_, plan, 0, std::move(rows), cands, counters,
+                      cancel);
   return EmitRows(std::move(rows), plan, all_vars);
 }
 
@@ -463,6 +518,7 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
                                        const CancelToken* cancel,
                                        const ParallelSpec& spec) const {
   if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
+  if (counters) ++counters->wco_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);
@@ -471,7 +527,7 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
 
   // Seed step: bind the first core variable sequentially (one index scan),
@@ -480,7 +536,8 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   size_t first_step = 0;
   if (!plan.var_order.empty()) {
     TripleStore::ProbeHint seed_hint;
-    rows = ExtendStep(store_, plan, 0, rows, cands, counters, chk, &seed_hint);
+    rows = ExtendStep(store_, stats_, plan, 0, rows, cands, counters, chk,
+                      &seed_hint);
     first_step = 1;
     if (rows.empty()) return BindingSet(all_vars);
   }
@@ -488,8 +545,8 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   size_t num_morsels = spec.MorselCount(rows.size());
   if (num_morsels <= 1) {
     // Too little seed fan-out to split: finish sequentially.
-    rows = CompleteRows(store_, plan, first_step, std::move(rows), cands,
-                        counters, cancel);
+    rows = CompleteRows(store_, stats_, plan, first_step, std::move(rows),
+                        cands, counters, cancel);
     return EmitRows(std::move(rows), plan, all_vars);
   }
 
@@ -504,8 +561,8 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
     // so the seed bindings move instead of copying.
     Rows subset(std::make_move_iterator(rows.begin() + begin),
                 std::make_move_iterator(rows.begin() + end));
-    outs[m] = CompleteRows(store_, plan, first_step, std::move(subset), cands,
-                           &local[m], cancel);
+    outs[m] = CompleteRows(store_, stats_, plan, first_step,
+                           std::move(subset), cands, &local[m], cancel);
     morsel_span.Attr("seed_rows", std::to_string(end - begin));
     morsel_span.Attr("rows", std::to_string(outs[m].size()));
   });

@@ -4,8 +4,10 @@
 // the next variable and, for every partial binding, intersects the adjacency
 // lists of all already-bound neighbors to produce the variable's matches
 // (Section 5.1.2). Candidate pruning sets restrict the values a variable may
-// take before any intersection result is materialized — which is what makes
-// the CP optimization effective on this engine.
+// take before any intersection result is materialized, and they steer the
+// extension: a small candidate set puts its variable first and seeds it
+// directly, one index probe per candidate, instead of projecting an edge —
+// which is what makes the CP optimization effective on this engine.
 #pragma once
 
 #include "bgp/engine.h"

@@ -6,6 +6,7 @@
 #include "betree/builder.h"
 #include "engine/aggregate.h"
 #include "engine/path_eval.h"
+#include "optimizer/join_order.h"
 #include "util/timer.h"
 
 namespace sparqluo {
@@ -117,6 +118,16 @@ class TreeEvaluator {
       first = false;
       if (acc.rows.size() > options_.max_intermediate_rows)
         throw RowLimitExceeded{};
+      if (acc.rows.empty()) {
+        // Every later child is a join, left-outer join, filter or path
+        // join, and each keeps an empty bag empty: skip their evaluation.
+        // Only their variables are still owed, so the schema (what SELECT *
+        // reports) matches a full evaluation's.
+        std::vector<VarId> vars;
+        group.CollectVariables(&vars);
+        acc.rows = BindingSet(std::move(vars));
+        break;
+      }
     }
     return acc;
   }
@@ -155,14 +166,10 @@ class TreeEvaluator {
     bgp_span.Attr("patterns", std::to_string(bgp.triples.size()));
     bgp_span.Attr("rows", std::to_string(res.size()));
     bgp_span.Attr("pruned", cands_ptr != nullptr ? "true" : "false");
-    // The engine that evaluated this BGP: under the adaptive engine the
-    // per-BGP decision counters say which host engine was delegated to
-    // (counters are fresh per BGP, so a nonzero count is this BGP's
-    // choice); a fixed engine reports its own name.
-    bgp_span.Attr("engine", counters.wco_evals + counters.hashjoin_evals > 0
-                                ? (counters.wco_evals > 0 ? "gStore-WCO"
-                                                          : "Jena-HashJoin")
-                                : engine_.name());
+    // The engine that evaluated this BGP: each host engine counts its own
+    // evaluations, and the counters are fresh per BGP.
+    bgp_span.Attr("engine",
+                  counters.wco_evals > 0 ? "gStore-WCO" : "Jena-HashJoin");
     if (metrics_) metrics_->bgp.Merge(counters);
     return res;
   }
@@ -220,9 +227,9 @@ BeTree Executor::Plan(const Query& query, const ExecOptions& options,
   Timer timer;
   ScopedSpan plan_span(options.trace, "plan", options.trace_parent);
   BeTree tree = BuildBeTree(query);
+  CostModel cost(engine_);
   if (options.tree_transform) {
     ScopedSpan transform_span(options.trace, "transform", plan_span.id());
-    CostModel cost(engine_);
     TransformOptions topt;
     topt.skip_cp_equivalent_levels = options.candidate_pruning;
     TransformStats tstats;
@@ -230,6 +237,12 @@ BeTree Executor::Plan(const Query& query, const ExecOptions& options,
     transform_span.Attr("merges", std::to_string(tstats.merges));
     transform_span.Attr("injects", std::to_string(tstats.injects));
     if (metrics) metrics->transform = tstats;
+  }
+  // §6: pruning only helps when the small result is evaluated first, so
+  // with pruning on every group leads its join runs with its smallest child.
+  if (options.candidate_pruning) {
+    size_t reordered = OrderJoinRuns(&tree, cost);
+    plan_span.Attr("join_runs_reordered", std::to_string(reordered));
   }
   if (metrics) metrics->transform_ms = timer.ElapsedMillis();
   return tree;

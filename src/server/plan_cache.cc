@@ -126,7 +126,8 @@ std::string PlanCache::MakeKey(const std::string& text,
                                const ExecOptions& options,
                                uint64_t version) {
   // Only the fields consulted by Executor::Plan participate: the transform
-  // toggle and (through skip_cp_equivalent_levels) the pruning toggle.
+  // toggle and the pruning toggle, which both gates skip_cp_equivalent_levels
+  // and makes every group lead its join runs with the smallest child.
   // Execution-time knobs (thresholds, row limits, cancel tokens) do not
   // change the plan, so requests differing only in those share an entry.
   // The version suffix partitions entries per committed DatabaseVersion.

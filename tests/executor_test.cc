@@ -2,6 +2,7 @@
 
 #include "algebra/operators.h"
 #include "baseline/binary_tree_eval.h"
+#include "betree/builder.h"
 #include "engine/database.h"
 
 namespace sparqluo {
@@ -236,6 +237,103 @@ TEST_P(ExecutorTest, PlanExposesTransformedTree) {
   EXPECT_EQ(m.transform.merges, 1u);
   ASSERT_EQ(plan.root->children.size(), 1u);
   EXPECT_TRUE(plan.root->children[0]->is_union());
+}
+
+/// One line per child of the plan's root: a type letter and the sorted names
+/// of the variables the child can bind.
+std::vector<std::string> RootShape(const BeTree& plan, const VarTable& vars) {
+  std::vector<std::string> shape;
+  for (const auto& child : plan.root->children) {
+    std::string line(1, "GBUOFP"[static_cast<int>(child->type)]);
+    std::vector<VarId> ids;
+    child->CollectVariables(&ids);
+    std::vector<std::string> names;
+    for (VarId v : ids) names.push_back(vars.Name(v));
+    std::sort(names.begin(), names.end());
+    for (const std::string& n : names) line += " " + n;
+    shape.push_back(line);
+  }
+  return shape;
+}
+
+// q1.1 shape: the selective anchor comes after large join children. With
+// pruning on, each join run between OPTIONAL/FILTER boundaries leads with
+// its smallest child, then takes connected children in query order.
+TEST_P(ExecutorTest, JoinRunLeadsWithSmallestChild) {
+  const std::string text =
+      "SELECT * WHERE { "
+      "{ ?x foaf:name ?n } UNION { ?x rdfs:label ?n } "
+      "?y owl:sameAs ?t . "
+      "{ ?x dbo:wikiPageWikiLink dbr:President_of_the_United_States } "
+      "?x owl:sameAs ?s . "
+      "OPTIONAL { ?x owl:sameAs ?u } "
+      "FILTER(?n != \"N3\") "
+      "{ ?z foaf:name ?m } UNION { ?z rdfs:label ?m } "
+      "{ ?z dbo:wikiPageWikiLink dbr:President_of_the_United_States } }";
+  auto q = db_.Parse(Prefixes() + text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const Executor& exec = db_.executor();
+
+  const std::vector<std::string> query_order = {
+      "U n x", "B t y", "G x", "B s x", "O u x", "F", "U m z", "G z"};
+  EXPECT_EQ(RootShape(exec.Plan(*q, ExecOptions::Base()), q->vars),
+            query_order);
+  const std::vector<std::string> reordered = {
+      "G x", "U n x", "B s x", "B t y", "O u x", "F", "G z", "U m z"};
+  EXPECT_EQ(RootShape(exec.Plan(*q, ExecOptions::CP()), q->vars), reordered);
+
+  // Pruning off: the transformed plan is exactly the transformer's output.
+  BeTree expected = BuildBeTree(*q);
+  CostModel cost(db_.engine());
+  MultiLevelTransform(&expected, cost, TransformOptions{}, nullptr);
+  EXPECT_EQ(DebugString(exec.Plan(*q, ExecOptions::TT()), q->vars),
+            DebugString(expected, q->vars));
+
+  CheckAllApproachesAgree(text);
+}
+
+// q1.3 shape: the OPTIONAL's base BGP is empty, so the running result is
+// empty and the nested OPTIONAL's BGP must never be evaluated.
+TEST_P(ExecutorTest, EmptyRunningResultSkipsRemainingChildren) {
+  const std::string outer =
+      "?x dbo:wikiPageWikiLink dbr:President_of_the_United_States . "
+      "OPTIONAL { ?x owl:sameAs ?s . ?s foaf:name ?m . ";
+  const std::string nested = "OPTIONAL { ?y foaf:name ?n . ?y owl:sameAs ?e } ";
+  const std::string full = "SELECT * WHERE { " + outer + nested + "} }";
+  const std::string cut = "SELECT * WHERE { " + outer + "} }";
+  for (const ExecOptions& opts : {ExecOptions::Base(), ExecOptions::CP()}) {
+    ExecMetrics with_nested, without_nested;
+    Run(full, opts, &with_nested);
+    Run(cut, opts, &without_nested);
+    EXPECT_EQ(with_nested.bgp.rows_materialized,
+              without_nested.bgp.rows_materialized)
+        << opts.Name();
+  }
+  BindingSet base = Run(full, ExecOptions::Base());
+  for (const ExecOptions& opts :
+       {ExecOptions::TT(), ExecOptions::CP(), ExecOptions::Full()}) {
+    BindingSet got = Run(full, opts);
+    EXPECT_TRUE(BagEquals(base, got)) << opts.Name();
+    // SELECT * still reports every variable, the skipped ones unbound.
+    EXPECT_EQ(got.width(), 6u) << opts.Name();
+  }
+  EXPECT_EQ(base.size(), 8u);
+  CheckAllApproachesAgree(full);
+}
+
+TEST_P(ExecutorTest, EachEngineCountsItsOwnEvaluations) {
+  ExecMetrics m;
+  Run("SELECT * WHERE { ?x dbo:wikiPageWikiLink "
+      "dbr:President_of_the_United_States . "
+      "OPTIONAL { ?x owl:sameAs ?s } }",
+      ExecOptions::Full(), &m);
+  if (GetParam() == EngineKind::kWco) {
+    EXPECT_GT(m.bgp.wco_evals, 0u);
+    EXPECT_EQ(m.bgp.hashjoin_evals, 0u);
+  } else {
+    EXPECT_GT(m.bgp.hashjoin_evals, 0u);
+    EXPECT_EQ(m.bgp.wco_evals, 0u);
+  }
 }
 
 TEST_P(ExecutorTest, FilterInsideQuery) {

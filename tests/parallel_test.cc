@@ -10,6 +10,7 @@
 #include "algebra/operators.h"
 #include "engine/database.h"
 #include "server/query_service.h"
+#include "sparql/parser.h"
 #include "util/executor_pool.h"
 #include "workload/lubm_generator.h"
 #include "workload/paper_queries.h"
@@ -211,6 +212,69 @@ TEST_P(ParallelEngineTest, BitIdenticalToSequentialOnPaperWorkload) {
   // A query whose seed fan-out fits one morsel legitimately completes
   // sequentially, but across the whole workload the morsel path must fire.
   EXPECT_GT(total_morsels, 0u);
+}
+
+// Candidate-seeded extension: a candidate set smaller than the edge seeds
+// its variable from the candidates instead of the edge's projection. The
+// rows equal unpruned evaluation filtered by the candidates, and every
+// parallelism degree reproduces them bit for bit. WCO probes each
+// candidate once instead of extending every projected value, so it issues
+// fewer index probes than the edge has distinct values, and it counts the
+// projection values it skipped as pruned. Hash join scans each pattern
+// once either way.
+TEST_P(ParallelEngineTest, CandidateSeededEvaluationMatchesFilteredUnpruned) {
+  const std::string ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
+  VarTable vars;
+  auto g = ParseGroupGraphPattern("{ ?x <" + ub + "worksFor> ?d . ?x <" + ub +
+                                      "name> ?n . }",
+                                  &vars);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  Bgp bgp;
+  for (const auto& e : g->elements) bgp.triples.push_back(e.triple);
+  const VarId d = vars.Lookup("d");
+
+  CandidateMap cands;
+  CandidateMap::Set depts;
+  for (const char* iri : {"http://www.Department0.University0.edu",
+                          "http://www.Department2.University1.edu",
+                          "http://www.Department1.University0.edu"}) {
+    TermId id = db_.dict().Lookup(Term::Iri(iri));
+    ASSERT_NE(id, kInvalidTermId) << iri;
+    depts.insert(id);
+  }
+  cands.Set_(d, depts);
+
+  const BgpEngine& engine = db_.engine();
+  BgpEvalCounters unseeded, seeded;
+  BindingSet all = engine.Evaluate(bgp, nullptr, &unseeded);
+  BindingSet got = engine.Evaluate(bgp, &cands, &seeded);
+
+  BindingSet expected(all.schema());
+  for (size_t r = 0; r < all.size(); ++r)
+    if (depts.count(all.Value(r, d)) > 0)
+      expected.AppendRow(std::vector<TermId>(all.Row(r), all.Row(r) + all.width()));
+  ASSERT_GT(expected.size(), 0u);
+  EXPECT_TRUE(BagEquals(expected, got));
+  EXPECT_GT(seeded.candidates_pruned, 0u);
+  if (GetParam() == EngineKind::kWco) {
+    const PredicateStats& works_for = db_.stats().ForPredicate(
+        db_.dict().Lookup(Term::Iri(ub + "worksFor")));
+    EXPECT_LT(seeded.index_probes, unseeded.index_probes);
+    EXPECT_LT(seeded.index_probes, works_for.distinct_subjects);
+    EXPECT_EQ(seeded.candidates_pruned,
+              works_for.distinct_objects - depts.size());
+  } else {
+    EXPECT_LE(seeded.index_probes, unseeded.index_probes);
+  }
+
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+    ParallelSpec spec;
+    spec.pool = pool_.get();
+    spec.parallelism = parallelism;
+    spec.morsel_size = 4;
+    BindingSet par = engine.ParallelEvaluate(bgp, &cands, nullptr, nullptr, spec);
+    EXPECT_TRUE(BitIdentical(par, got)) << "parallelism " << parallelism;
+  }
 }
 
 // parallelism = 0 means "all pool workers + 1" and stays bit-identical.

@@ -6,10 +6,15 @@ Checks:
 1. The file parses as JSON with a `traceEvents` array of complete
    events (`"ph": "X"`) carrying name/ts/dur/pid/tid.
 2. Per pid (one pid per traced query): exactly one root `query` span,
-   and the expected lifecycle phases underneath it — `eval` and
-   `serialize` always; `parse` and `plan` whenever the query was not a
-   plan-cache hit (root carries a `cache_hit` arg written by the
-   engine).
+   and the expected lifecycle phases underneath it:
+   - a result-cache hit (root arg `result_cache_hit=true`) needs
+     `queue_wait` and `result_cache_lookup`; a dedup follower (root arg
+     `deduped=true`) needs `dedup_wait` as well. Both were answered
+     without executing, so neither may have a `parse`, `plan`, `eval` or
+     `serialize` span;
+   - every other query needs `queue_wait`, `eval` and `serialize`, plus
+     `parse` and `plan` whenever it was not a plan-cache hit (root arg
+     `cache_hit`).
 3. Containment — every event nests inside the query span of its pid
    (start >= query start, end <= query end, small clock slop allowed).
 
@@ -20,6 +25,7 @@ import json
 import sys
 
 SLOP_US = 5  # steady_clock reads on different threads; keep a tiny margin
+EXECUTION_PHASES = {"parse", "plan", "eval", "serialize"}
 
 
 def main():
@@ -72,15 +78,32 @@ def main():
             continue
         root = roots[0]
         names = {e["name"] for e in evs}
-        cache_hit = str(root.get("args", {}).get("cache_hit", "")) == "true"
-        required = {"eval", "serialize", "queue_wait"}
-        if not cache_hit:
-            required |= {"parse", "plan"}
+        args = root.get("args", {})
+
+        def flag(key):
+            return str(args.get(key, "")) == "true"
+
+        cache_hit = flag("cache_hit")
+        served = flag("result_cache_hit") or flag("deduped")
+        if served:
+            required = {"queue_wait", "result_cache_lookup"}
+            if flag("deduped"):
+                required |= {"dedup_wait"}
+            executed = names & EXECUTION_PHASES
+            if executed:
+                errors.append(
+                    f"{path}: pid {pid}: served without executing, but has "
+                    f"phase spans {sorted(executed)}")
+        else:
+            required = {"eval", "serialize", "queue_wait"}
+            if not cache_hit:
+                required |= {"parse", "plan"}
         missing = required - names
         if missing:
             errors.append(
                 f"{path}: pid {pid}: missing phase spans {sorted(missing)} "
-                f"(cache_hit={cache_hit}, have {sorted(names)})")
+                f"(cache_hit={cache_hit}, served={served}, "
+                f"have {sorted(names)})")
         q_start, q_end = root["ts"], root["ts"] + root["dur"]
         for e in evs:
             if e is root:
