@@ -239,10 +239,14 @@ BeTree Executor::Plan(const Query& query, const ExecOptions& options,
     if (metrics) metrics->transform = tstats;
   }
   // §6: pruning only helps when the small result is evaluated first, so
-  // with pruning on every group leads its join runs with its smallest child.
+  // with pruning on every group leads its join runs with its smallest child
+  // and applies its postponable OPTIONALs after the joins they can prune.
   if (options.candidate_pruning) {
-    size_t reordered = OrderJoinRuns(&tree, cost);
-    plan_span.Attr("join_runs_reordered", std::to_string(reordered));
+    JoinOrderStats order = OrderJoinRuns(&tree, cost);
+    plan_span.Attr("join_runs_reordered", std::to_string(order.runs_reordered));
+    plan_span.Attr("optionals_postponed",
+                   std::to_string(order.optionals_postponed));
+    if (metrics) metrics->optionals_postponed = order.optionals_postponed;
   }
   if (metrics) metrics->transform_ms = timer.ElapsedMillis();
   return tree;

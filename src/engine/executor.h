@@ -100,6 +100,8 @@ struct ExecMetrics {
   AbortReason abort_reason = AbortReason::kNone;
   BgpEvalCounters bgp;
   TransformStats transform;
+  /// OPTIONALs the join-order pass postponed (candidate pruning only).
+  size_t optionals_postponed = 0;
 };
 
 /// Evaluates queries against one store/engine pair.

@@ -4,10 +4,16 @@
 // A graph pattern is *well-designed* when for every OPTIONAL sub-pattern
 // (P1 OPTIONAL P2), each variable of P2 that also occurs elsewhere in the
 // query outside the OPTIONAL already occurs in P1. Well-designed queries
-// are the class on which OPTIONAL behaves "intuitively" — and the class
-// where merge/inject insertion positions never re-base a left join, i.e.
-// where the local safety guards of optimizer/transformations.cc always
-// pass. The analyzer is useful for diagnostics and for workload studies.
+// are the class on which OPTIONAL behaves "intuitively", and the class on
+// which the local safety guards of optimizer/transformations.cc almost
+// always pass.
+//
+// The check is syntactic: a variable "occurs in P1" when any non-OPTIONAL
+// element of P1 mentions it, even one UNION branch of several. So it does
+// not prove a variable bound in every row of P1, and no rewrite is decided
+// by it: it feeds diagnostics (`--explain` prints `well-designed=`) and
+// workload studies. OPTIONAL postponement (optimizer/join_order.h) decides
+// with its own certain-variable check on the BE-tree instead.
 #pragma once
 
 #include <vector>

@@ -4,7 +4,9 @@
 // elements combined left-to-right by implicit AND, where each element is a
 // triple pattern, a nested group, a UNION of groups, an OPTIONAL group, or a
 // FILTER. This mirrors the SPARQL surface syntax one-to-one, which the
-// BE-tree construction (src/betree) relies on.
+// BE-tree construction (src/betree) relies on, except that the parser puts
+// a group's FILTERs after its other elements: a FILTER applies to its whole
+// group (SPARQL 1.1 §18.2.2), wherever it is written.
 #pragma once
 
 #include <cstdint>

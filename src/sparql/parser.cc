@@ -721,6 +721,12 @@ class Parser {
       SPARQLUO_RETURN_NOT_OK(ParseTriplesBlock(&g));
     }
     Advance();  // consume '}'
+    // A FILTER constrains its whole group wherever it is written (SPARQL
+    // 1.1 §18.2.2), so the filters go last, in their written order.
+    std::stable_partition(g.elements.begin(), g.elements.end(),
+                          [](const PatternElement& e) {
+                            return e.kind != PatternElement::Kind::kFilter;
+                          });
     return g;
   }
 

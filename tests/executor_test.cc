@@ -257,8 +257,9 @@ std::vector<std::string> RootShape(const BeTree& plan, const VarTable& vars) {
 }
 
 // q1.1 shape: the selective anchor comes after large join children. With
-// pruning on, each join run between OPTIONAL/FILTER boundaries leads with
-// its smallest child, then takes connected children in query order.
+// pruning on, each join run between OPTIONAL boundaries leads with its
+// smallest child, then takes connected children in query order. The FILTER
+// applies to the whole group, so the parser puts it last.
 TEST_P(ExecutorTest, JoinRunLeadsWithSmallestChild) {
   const std::string text =
       "SELECT * WHERE { "
@@ -275,11 +276,11 @@ TEST_P(ExecutorTest, JoinRunLeadsWithSmallestChild) {
   const Executor& exec = db_.executor();
 
   const std::vector<std::string> query_order = {
-      "U n x", "B t y", "G x", "B s x", "O u x", "F", "U m z", "G z"};
+      "U n x", "B t y", "G x", "B s x", "O u x", "U m z", "G z", "F"};
   EXPECT_EQ(RootShape(exec.Plan(*q, ExecOptions::Base()), q->vars),
             query_order);
   const std::vector<std::string> reordered = {
-      "G x", "U n x", "B s x", "B t y", "O u x", "F", "G z", "U m z"};
+      "G x", "U n x", "B s x", "B t y", "O u x", "G z", "U m z", "F"};
   EXPECT_EQ(RootShape(exec.Plan(*q, ExecOptions::CP()), q->vars), reordered);
 
   // Pruning off: the transformed plan is exactly the transformer's output.

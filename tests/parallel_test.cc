@@ -214,6 +214,31 @@ TEST_P(ParallelEngineTest, BitIdenticalToSequentialOnPaperWorkload) {
   EXPECT_GT(total_morsels, 0u);
 }
 
+// LUBM q2.1-q2.3 are the paper queries whose plans postpone OPTIONALs past
+// their sibling joins. The postponed bodies are pruned by the joined rows,
+// and every parallelism degree still reproduces sequential evaluation bit
+// for bit, down to one-row morsels.
+TEST_P(ParallelEngineTest, PostponedOptionalPlansBitIdenticalToSequential) {
+  for (const char* id : {"q2.1", "q2.2", "q2.3"}) {
+    const PaperQuery* q = FindQuery(LubmPaperQueries(), id);
+    ASSERT_NE(q, nullptr) << id;
+    ExecMetrics seq_metrics;
+    auto seq = db_.Query(q->sparql, Sequential(), &seq_metrics);
+    ASSERT_TRUE(seq.ok()) << id << ": " << seq.status().ToString();
+    EXPECT_GT(seq_metrics.optionals_postponed, 0u) << id;
+    EXPECT_FALSE(seq->empty()) << id;
+    for (size_t parallelism : {size_t{2}, size_t{8}}) {
+      for (size_t morsel_size : {size_t{1}, size_t{64}}) {
+        auto par = db_.Query(q->sparql, Parallel(parallelism, morsel_size));
+        ASSERT_TRUE(par.ok()) << id;
+        EXPECT_TRUE(BitIdentical(*par, *seq))
+            << id << " diverges at parallelism " << parallelism
+            << ", morsel size " << morsel_size;
+      }
+    }
+  }
+}
+
 // Candidate-seeded extension: a candidate set smaller than the edge seeds
 // its variable from the candidates instead of the edge's projection. The
 // rows equal unpruned evaluation filtered by the candidates, and every

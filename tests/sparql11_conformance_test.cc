@@ -195,6 +195,39 @@ TEST(AggregateConformance, AvgDecimalFormattingPin) {
 }
 
 // ---------------------------------------------------------------------
+// FILTER scope
+// ---------------------------------------------------------------------
+
+TEST(FilterConformance, FilterConstrainsItsWholeGroup) {
+  // SPARQL 1.1 §18.2.2: a FILTER applies to its whole group wherever it is
+  // written, so BOUND(?v) sees the OPTIONAL written after it. a, b, c and e
+  // carry an age; f has a type but no age and is the one row filtered out.
+  // Applied at its written position the filter would see ?v unbound in
+  // every row and return nothing.
+  const std::string text = "SELECT ?s ?v WHERE { ?s " + I("type") +
+                           " ?t . FILTER(BOUND(?v)) OPTIONAL { ?s " +
+                           I("age") + " ?v } }";
+  auto want = SortedCanonical({Row({"?s=" + I("a"), "?v=" + Int(10)}),
+                               Row({"?s=" + I("b"), "?v=" + Int(20)}),
+                               Row({"?s=" + I("c"), "?v=" + Int(20)}),
+                               Row({"?s=" + I("e"), "?v=\"unknown\""})});
+  for (EngineKind kind : {EngineKind::kWco, EngineKind::kHashJoin}) {
+    Fixture f(kind);
+    auto parsed = f.db.Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    for (const ExecOptions& opts : {ExecOptions::Base(), ExecOptions::TT(),
+                                    ExecOptions::CP(), ExecOptions::Full()}) {
+      auto rows = f.db.executor().Execute(*parsed, opts);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(SortedCanonical(CanonicalizeEngineRows(*rows, *parsed,
+                                                        f.db.dict())),
+                want)
+          << opts.Name();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Property paths
 // ---------------------------------------------------------------------
 

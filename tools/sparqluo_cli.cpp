@@ -618,7 +618,11 @@ int RunQuery(Database& db, const CliOptions& opts, const std::string& text,
     ExecMetrics pm;
     BeTree planned = db.executor().Plan(*parsed, opts.exec, &pm);
     std::cerr << "--- planned BE-tree (merges=" << pm.transform.merges
-              << ", injects=" << pm.transform.injects << ") ---\n"
+              << ", injects=" << pm.transform.injects;
+    // The postponement pass runs only with candidate pruning on.
+    if (opts.exec.candidate_pruning)
+      std::cerr << ", optionals_postponed=" << pm.optionals_postponed;
+    std::cerr << ") ---\n"
               << DebugString(planned, parsed->vars)
               << "--- planned SPARQL ---\n"
               << SerializeToQuery(planned, parsed->vars) << "\n";
