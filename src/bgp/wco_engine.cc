@@ -14,6 +14,12 @@
 // the concatenated morsel outputs, which is why parallel evaluation is
 // bit-identical to sequential: both emit the same sorted, deduplicated row
 // set over the same schema.
+//
+// A BGP whose only non-ground pattern is one constant-predicate edge (two
+// distinct variables, or one) skips all of that: its matches are exactly
+// that pattern's index range, so RangeCopy copies the range's level-2
+// pairs into the result, applying candidate sets on the way, and emits the
+// rows in the same final_vars order the general path sorts them into.
 #include "bgp/wco_engine.h"
 
 #include <algorithm>
@@ -491,6 +497,127 @@ BindingSet EmitRows(Rows rows, const WcoPlan& plan,
   return result;
 }
 
+/// True when `plan` is one constant-predicate edge with two distinct
+/// variables, or one, and nothing else to bind: RangeCopy's shape. A
+/// self-loop `?x p ?x` needs the s == o filter, so it keeps the general
+/// path.
+bool IsRangeCopy(const WcoPlan& plan) {
+  if (plan.core.size() != 1 || !plan.residual.empty()) return false;
+  const ResolvedPattern& r = plan.core.front().r;
+  return r.sv != r.ov;
+}
+
+/// Evaluates a RangeCopy-shaped plan straight from the index. Rows come
+/// out sorted by plan.final_vars (= var_order) over the all_vars schema,
+/// exactly as CompleteRows + EmitRows would produce them.
+///
+/// One variable: the (p, o) or (s, p) range lists its values ascending.
+/// Two variables: the POS bucket of p lists (o, s) pairs; they are sorted
+/// only when var_order puts s first. When the first variable has a
+/// candidate set smaller than the range, its sorted candidates are probed
+/// one by one instead (as ExtendStep seeds from candidates), and each
+/// probe's range lists the second variable ascending.
+BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
+                     const WcoPlan& plan, const CandidateMap* cands,
+                     const std::vector<VarId>& all_vars,
+                     BgpEvalCounters* counters, const CancelToken* cancel) {
+  const ResolvedPattern& r = plan.core.front().r;
+  auto cand_set = [&](VarId v) -> const CandidateMap::Set* {
+    return cands != nullptr ? cands->Get(v) : nullptr;
+  };
+  const bool two_vars = plan.var_order.size() == 2;
+  const VarId first = plan.var_order[0];
+  const bool subject_first = first == r.sv;
+  const CandidateMap::Set* cs_first = cand_set(first);
+  const CandidateMap::Set* cs_second =
+      two_vars ? cand_set(plan.var_order[1]) : nullptr;
+
+  TriplePatternIds q;
+  q.p = r.p;
+  if (!two_vars && subject_first) q.o = r.o;
+  if (!two_vars && !subject_first) q.s = r.s;
+  const TripleStore::MatchedRange range = store.Match(q);
+  CancelCheckpoint chk(cancel);
+  std::vector<uint64_t> keys;  // rows packed as (first << 32) | second
+  uint64_t pruned = 0, probes = 1;
+  auto keep = [&](TermId a, TermId b) {
+    if (cs_second != nullptr && cs_second->count(b) == 0) {
+      ++pruned;
+      return;
+    }
+    keys.push_back((uint64_t{a} << 32) | b);
+  };
+
+  if (two_vars && cs_first != nullptr && cs_first->size() < range.size()) {
+    std::vector<TermId> seeds(cs_first->begin(), cs_first->end());
+    std::sort(seeds.begin(), seeds.end());
+    uint64_t matched_seeds = 0;
+    TripleStore::ProbeHint hint;
+    for (TermId seed : seeds) {
+      TriplePatternIds cq = q;
+      (subject_first ? cq.s : cq.o) = seed;
+      const TripleStore::MatchedRange seed_range = store.Match(cq, &hint);
+      ++probes;
+      if (seed_range.size() > 0) ++matched_seeds;
+      const IdPair* pairs = seed_range.index->pairs.data();
+      for (size_t i = seed_range.begin; i < seed_range.end; ++i) {
+        chk.Poll();
+        keep(seed, pairs[i].third);  // o of SPO (s, p), s of POS (p, o)
+      }
+    }
+    // The first variable's projection values left out count as pruned,
+    // as in candidate-seeded extension.
+    const PredicateStats& ps = stats.ForPredicate(r.p);
+    const uint64_t projected =
+        subject_first ? ps.distinct_subjects : ps.distinct_objects;
+    if (projected > matched_seeds) pruned += projected - matched_seeds;
+  } else {
+    keys.reserve(range.size());
+    const IdPair* pairs = range.index->pairs.data();
+    for (size_t i = range.begin; i < range.end; ++i) {
+      chk.Poll();
+      if (!two_vars) {
+        const TermId v = pairs[i].third;  // s of POS (p, o), o of SPO (s, p)
+        if (cs_first != nullptr && cs_first->count(v) == 0) {
+          ++pruned;
+        } else {
+          keys.push_back(v);
+        }
+        continue;
+      }
+      const TermId o = pairs[i].second, s = pairs[i].third;  // POS (o, s)
+      const TermId a = subject_first ? s : o;
+      if (cs_first != nullptr && cs_first->count(a) == 0) {
+        ++pruned;
+        continue;
+      }
+      keep(a, subject_first ? o : s);
+    }
+    if (two_vars && subject_first) std::sort(keys.begin(), keys.end());
+  }
+
+  BindingSet result(all_vars);
+  result.Reserve(keys.size());
+  std::vector<TermId> row(all_vars.size());
+  const size_t col_first = IndexOf(all_vars, first);
+  const size_t col_second = two_vars ? IndexOf(all_vars, plan.var_order[1]) : 0;
+  for (uint64_t key : keys) {
+    if (two_vars) {
+      row[col_first] = static_cast<TermId>(key >> 32);
+      row[col_second] = static_cast<TermId>(key);
+    } else {
+      row[col_first] = static_cast<TermId>(key);
+    }
+    result.AppendRow(row);
+  }
+  if (counters) {
+    counters->index_probes += probes;
+    counters->candidates_pruned += pruned;
+    counters->rows_materialized += result.size();
+  }
+  return result;
+}
+
 }  // namespace
 
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
@@ -507,6 +634,8 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   chk.Poll();
   WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
+  if (IsRangeCopy(plan))
+    return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
   Rows rows{{}};  // one empty partial binding
   rows = CompleteRows(store_, stats_, plan, 0, std::move(rows), cands, counters,
                       cancel);
@@ -529,6 +658,8 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   chk.Poll();
   WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
+  if (IsRangeCopy(plan))  // one scan of one range: nothing to split
+    return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
 
   // Seed step: bind the first core variable sequentially (one index scan),
   // producing the partial bindings the morsels partition.

@@ -8,6 +8,28 @@
 // extension: a small candidate set puts its variable first and seeds it
 // directly, one index probe per candidate, instead of projecting an edge —
 // which is what makes the CP optimization effective on this engine.
+//
+// A BGP that is one constant-predicate pattern with two distinct variables
+// (or one) skips vertex extension: its matches are one index range, copied
+// straight into the result (the range-copy path). A self-loop `?x p ?x`
+// keeps the general path.
+//
+// Counters (BgpEvalCounters), as this engine defines them:
+//   rows_materialized  binding rows built, partial ones included: every
+//                      row an extension step or a residual pattern
+//                      produces; on the range-copy path, the rows emitted.
+//   index_probes       index range lookups during evaluation: one per
+//                      adjacency list, per candidate probed when seeding
+//                      from candidates, and per residual-pattern scan; on
+//                      the range-copy path, one for the pattern plus one
+//                      per candidate probed. Plan-time counts and the
+//                      verification membership checks are not probes.
+//   candidates_pruned  values a candidate set kept out of a binding: one
+//                      per extension value or residual match it rejects
+//                      (one per matched triple on the range-copy path),
+//                      plus, when a variable is seeded from candidates,
+//                      the edge projection's values that were never
+//                      enumerated (distinct values minus seeds that match).
 #pragma once
 
 #include "bgp/engine.h"

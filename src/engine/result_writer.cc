@@ -3,97 +3,24 @@
 #include <ostream>
 #include <sstream>
 
-#include "sparql/result_writer.h"
-#include "util/string_util.h"
-
 namespace sparqluo {
 
-namespace {
-
-/// CSV field escaping: quote when the value contains comma, quote or
-/// newline; double embedded quotes.
-void WriteCsvField(const std::string& value, std::ostream& out) {
-  bool needs_quoting = value.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quoting) {
-    out << value;
-    return;
-  }
-  out << '"';
-  for (char c : value) {
-    if (c == '"') out << '"';
-    out << c;
-  }
-  out << '"';
-}
-
-/// CSV plain rendering: IRIs and literal values bare, blanks as _:label.
-std::string CsvValue(const Term& term) {
-  switch (term.kind) {
-    case TermKind::kIri: return term.lexical;
-    case TermKind::kLiteral: return term.lexical;
-    case TermKind::kBlank: return "_:" + term.lexical;
-  }
-  return "";
-}
-
-/// Adapts an ostream to the streaming writer's Sink interface.
-StreamingResultWriter::Sink OstreamSink(std::ostream& out) {
-  return [&out](std::string_view piece) {
+void WriteResults(const BindingSet& rows, const VarTable& vars,
+                  const Dictionary& dict, ResultFormat format,
+                  std::ostream& out) {
+  // The ostream sink always accepts: the historical "best effort" ostream
+  // behavior.
+  StreamingResultWriter writer(format, [&out](std::string_view piece) {
     out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
-    return true;  // preserve the historical "best effort" ostream behavior
-  };
-}
-
-}  // namespace
-
-void WriteCsv(const BindingSet& rows, const VarTable& vars,
-              const Dictionary& dict, std::ostream& out) {
-  for (size_t c = 0; c < rows.schema().size(); ++c) {
-    if (c > 0) out << ',';
-    out << vars.Name(rows.schema()[c]);
-  }
-  out << "\r\n";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t c = 0; c < rows.width(); ++c) {
-      if (c > 0) out << ',';
-      TermId id = rows.At(r, c);
-      if (id != kUnboundTerm) WriteCsvField(CsvValue(dict.Decode(id)), out);
-    }
-    out << "\r\n";
-  }
-}
-
-// TSV and JSON delegate to the streaming writer in src/sparql/
-// result_writer.h — the single serializer the HTTP endpoint also streams
-// through, so in-process FormatResults output and over-the-wire bodies
-// are bit-identical by construction.
-void WriteTsv(const BindingSet& rows, const VarTable& vars,
-              const Dictionary& dict, std::ostream& out) {
-  StreamingResultWriter writer(WireFormat::kTsv, OstreamSink(out));
-  writer.WriteAll(rows, vars, dict);
-}
-
-void WriteJson(const BindingSet& rows, const VarTable& vars,
-               const Dictionary& dict, std::ostream& out) {
-  StreamingResultWriter writer(WireFormat::kJson, OstreamSink(out));
-  writer.WriteAll(rows, vars, dict);
-}
-
-void WriteNTriples(const BindingSet& rows, const VarTable& vars,
-                   const Dictionary& dict, std::ostream& out) {
-  StreamingResultWriter writer(WireFormat::kNTriples, OstreamSink(out));
+    return true;
+  });
   writer.WriteAll(rows, vars, dict);
 }
 
 std::string FormatResults(const BindingSet& rows, const VarTable& vars,
                           const Dictionary& dict, ResultFormat format) {
   std::ostringstream out;
-  switch (format) {
-    case ResultFormat::kCsv: WriteCsv(rows, vars, dict, out); break;
-    case ResultFormat::kTsv: WriteTsv(rows, vars, dict, out); break;
-    case ResultFormat::kJson: WriteJson(rows, vars, dict, out); break;
-    case ResultFormat::kNTriples: WriteNTriples(rows, vars, dict, out); break;
-  }
+  WriteResults(rows, vars, dict, format, out);
   return out.str();
 }
 

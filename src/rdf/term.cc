@@ -7,24 +7,38 @@
 namespace sparqluo {
 
 std::string Term::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Term::AppendTo(std::string* out) const {
   switch (kind) {
     case TermKind::kIri:
-      return "<" + lexical + ">";
+      *out += '<';
+      *out += lexical;
+      *out += '>';
+      return;
     case TermKind::kBlank:
-      return "_:" + lexical;
-    case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical) + "\"";
+      *out += "_:";
+      *out += lexical;
+      return;
+    case TermKind::kLiteral:
+      *out += '"';
+      AppendEscapedLiteral(lexical, out);
+      *out += '"';
       if (!qualifier.empty()) {
         if (qualifier_is_lang) {
-          out += "@" + qualifier;
+          *out += '@';
+          *out += qualifier;
         } else {
-          out += "^^<" + qualifier + ">";
+          *out += "^^<";
+          *out += qualifier;
+          *out += '>';
         }
       }
-      return out;
-    }
+      return;
   }
-  return "";
 }
 
 std::string Term::CanonicalKey() const {

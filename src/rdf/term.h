@@ -71,6 +71,9 @@ struct Term {
   /// N-Triples / SPARQL surface form: `<iri>`, `"lit"@en`, `"5"^^<dt>`, `_:b`.
   std::string ToString() const;
 
+  /// Appends ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
+
   /// Canonical dictionary key; injective over all well-formed terms.
   std::string CanonicalKey() const;
 

@@ -1,7 +1,8 @@
 // Incremental (streaming) serialization of query results in the W3C
-// SPARQL 1.1 results formats served over the wire: the JSON results format
-// (https://www.w3.org/TR/sparql11-results-json/) and TSV
-// (https://www.w3.org/TR/sparql11-results-csv-tsv/).
+// SPARQL 1.1 results formats: the JSON results format
+// (https://www.w3.org/TR/sparql11-results-json/), TSV and CSV
+// (https://www.w3.org/TR/sparql11-results-csv-tsv/), plus N-Triples for
+// CONSTRUCT results.
 //
 // The writer emits into a caller-supplied Sink in bounded flushes: rows
 // are appended to an internal buffer that is handed off whenever it
@@ -12,6 +13,13 @@
 // src/engine/result_writer.cc point it at an ostream — both paths share
 // this code, which is what makes over-the-wire bodies bit-identical to
 // in-process FormatResults output.
+//
+// Cells are rendered from each term's stored bytes, never through a
+// temporary Term::ToString(), and escaping appends unescaped runs whole.
+// Each column keeps the TermId of its previous cell with that cell's
+// rendered text, so a value repeated down a column (a subject spanning
+// many rows, a shared type or department) costs one copy. JSON object keys
+// ("name":) are rendered once, at BeginSelect.
 //
 // A Sink returning false aborts serialization (client disconnected, write
 // stalled): every later call becomes a no-op returning false, and nothing
@@ -30,10 +38,12 @@ namespace sparqluo {
 /// Wire formats the streaming writer can produce. kNTriples serializes
 /// CONSTRUCT results (three-column subject/predicate/object rows) as one
 /// N-Triples statement per row; it has no header and ignores variable
-/// names.
-enum class WireFormat { kJson, kTsv, kNTriples };
+/// names. kCsv is the in-process CSV output (the HTTP endpoint does not
+/// negotiate it).
+enum class WireFormat { kJson, kTsv, kNTriples, kCsv };
 
-/// The SPARQL results media type for `format` (no parameters).
+/// The SPARQL results media type for `format` (no parameters). kCsv is not
+/// served, so it has none yet: application/octet-stream.
 std::string_view WireFormatContentType(WireFormat format);
 
 /// Appends `s` as a JSON string token (including the surrounding quotes),
@@ -52,12 +62,13 @@ class StreamingResultWriter {
   StreamingResultWriter(WireFormat format, Sink sink,
                         size_t flush_bytes = kDefaultFlushBytes);
 
-  /// Starts a SELECT result: JSON head object / TSV header line over the
-  /// result schema. Call exactly once, before any WriteRow.
+  /// Starts a SELECT result: JSON head object / TSV or CSV header line
+  /// over the result schema, named through `vars` (read only during this
+  /// call). Call exactly once, before any WriteRow.
   bool BeginSelect(const std::vector<VarId>& schema, const VarTable& vars);
 
   /// Appends one solution mapping (`width` cells; kUnboundTerm cells are
-  /// omitted in JSON and empty in TSV). Returns false once aborted.
+  /// omitted in JSON and empty in TSV/CSV). Returns false once aborted.
   bool WriteRow(const TermId* row, size_t width, const Dictionary& dict);
 
   /// Convenience: BeginSelect + every row of `rows` + Finish.
@@ -65,8 +76,8 @@ class StreamingResultWriter {
                 const Dictionary& dict);
 
   /// Serializes an ASK result (complete on its own: do not mix with
-  /// BeginSelect/WriteRow). JSON: {"head":{},"boolean":b}; TSV: a single
-  /// "true"/"false" line.
+  /// BeginSelect/WriteRow). JSON: {"head":{},"boolean":b}; otherwise a
+  /// single "true"/"false" line.
   bool WriteBoolean(bool value);
 
   /// Closes the enclosing structure and flushes everything buffered.
@@ -83,6 +94,13 @@ class StreamingResultWriter {
   size_t max_buffered() const { return max_buffered_; }
 
  private:
+  /// Per-column render state.
+  struct Column {
+    std::string key;             ///< JSON `"name":`, rendered at BeginSelect.
+    TermId id = kUnboundTerm;    ///< The term `cell` holds, if any.
+    std::string cell;            ///< Rendered text of `id` in this format.
+  };
+
   bool MaybeFlush();
   bool FlushAll();
 
@@ -90,8 +108,7 @@ class StreamingResultWriter {
   Sink sink_;
   size_t flush_bytes_;
   std::string buffer_;
-  std::vector<VarId> schema_;
-  const VarTable* vars_ = nullptr;
+  std::vector<Column> columns_;
   bool began_ = false;
   bool finished_ = false;
   bool failed_ = false;

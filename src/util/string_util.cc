@@ -51,17 +51,27 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 std::string EscapeLiteral(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
+  AppendEscapedLiteral(s, &out);
   return out;
+}
+
+void AppendEscapedLiteral(std::string_view s, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* esc;
+    switch (s[i]) {
+      case '\\': esc = "\\\\"; break;
+      case '"': esc = "\\\""; break;
+      case '\n': esc = "\\n"; break;
+      case '\t': esc = "\\t"; break;
+      case '\r': esc = "\\r"; break;
+      default: continue;
+    }
+    out->append(s.data() + run, i - run);
+    *out += esc;
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
 }
 
 std::string UnescapeLiteral(std::string_view s) {

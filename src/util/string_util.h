@@ -27,6 +27,10 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 /// (backslash, quote, newline, tab, carriage return).
 std::string EscapeLiteral(std::string_view s);
 
+/// EscapeLiteral appending to `out`; runs that need no escaping are
+/// appended whole.
+void AppendEscapedLiteral(std::string_view s, std::string* out);
+
 /// Inverse of EscapeLiteral.
 std::string UnescapeLiteral(std::string_view s);
 

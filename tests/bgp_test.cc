@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "algebra/operators.h"
@@ -214,6 +215,227 @@ TEST_P(BgpEngineTest, CostIsPositiveAndMonotonicInPatterns) {
       "?x <http://ex.org/knows> ?y . ?y <http://ex.org/knows> ?z .");
   EXPECT_GT(db_.engine().EstimateCost(one), 0.0);
   EXPECT_GE(db_.engine().EstimateCost(two), db_.engine().EstimateCost(one));
+}
+
+// -------------------------------------------------- WCO range copy ---
+//
+// A BGP of one constant-predicate pattern with two distinct variables (or
+// one) is evaluated by copying the pattern's index range. Its rows, order
+// and schema must equal what WCO's general vertex extension emits — which
+// the same pattern written twice still takes — and bag-equal hash join.
+
+class RangeCopyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string nt;
+    auto iri = [](size_t i) {
+      return "<http://ex.org/n" + std::to_string(i) + ">";
+    };
+    // 24 nodes; each links to three others by a fixed stride, so objects
+    // and subjects interleave in id order, plus two self-loops.
+    for (size_t i = 0; i < 24; ++i) {
+      for (size_t step : {7u, 11u, 17u})
+        nt += iri(i) + " <http://ex.org/p> " + iri((i * step + 5) % 24) + " .\n";
+      nt += iri(i) + " <http://ex.org/name> \"n" + std::to_string(i) + "\" .\n";
+    }
+    nt += iri(3) + " <http://ex.org/p> " + iri(3) + " .\n";
+    nt += iri(8) + " <http://ex.org/p> " + iri(8) + " .\n";
+    ASSERT_TRUE(db_.LoadNTriplesString(nt).ok());
+    db_.Finalize(EngineKind::kWco);
+    wco_ = MakeEngine(EngineKind::kWco, db_.store(), db_.dict(), db_.stats());
+    hashjoin_ =
+        MakeEngine(EngineKind::kHashJoin, db_.store(), db_.dict(), db_.stats());
+    p_ = Id("p");
+  }
+
+  TermId Id(const std::string& local) {
+    return db_.dict().Lookup(Term::Iri("http://ex.org/" + local));
+  }
+
+  Bgp Parse(const std::string& body) {
+    auto g = ParseGroupGraphPattern("{" + body + "}", &vars_);
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    Bgp bgp;
+    for (const auto& e : g->elements) bgp.triples.push_back(e.triple);
+    return bgp;
+  }
+
+  /// Candidate sets: a few nodes (Nodes) seed their variable from the
+  /// candidates; most nodes plus unused ids (AllNodesBut, more values
+  /// than the range has triples) filter while copying.
+  CandidateMap::Set Nodes(std::initializer_list<size_t> nodes) {
+    CandidateMap::Set set;
+    for (size_t n : nodes) set.insert(Id("n" + std::to_string(n)));
+    return set;
+  }
+  CandidateMap::Set AllNodesBut(std::initializer_list<size_t> left_out) {
+    CandidateMap::Set set;
+    for (size_t n = 0; n < 24; ++n)
+      if (std::find(left_out.begin(), left_out.end(), n) == left_out.end())
+        set.insert(Id("n" + std::to_string(n)));
+    // Ids no triple uses make the set larger than the range.
+    for (TermId fake = 1000000; fake < 1000100; ++fake) set.insert(fake);
+    return set;
+  }
+
+  std::vector<CandidateMap> CandidateCases(VarId s, VarId o) {
+    std::vector<CandidateMap> cases(1);  // no candidates
+    auto add = [&](VarId v, CandidateMap::Set set) {
+      if (v == kInvalidVarId) return;
+      CandidateMap m;
+      m.Set_(v, std::move(set));
+      cases.push_back(std::move(m));
+    };
+    add(s, Nodes({1, 2, 3, 23}));
+    add(s, AllNodesBut({4, 9}));
+    add(o, Nodes({5, 6, 8}));
+    add(o, AllNodesBut({0, 12, 20}));
+    if (s != kInvalidVarId && o != kInvalidVarId) {
+      CandidateMap both;
+      both.Set_(s, Nodes({1, 2, 3, 10, 16}));
+      both.Set_(o, AllNodesBut({5, 13}));
+      cases.push_back(both);
+      CandidateMap both_small;
+      both_small.Set_(s, Nodes({0, 3, 7}));
+      both_small.Set_(o, Nodes({3, 5, 12, 19}));
+      cases.push_back(both_small);
+    }
+    return cases;
+  }
+
+  Database db_;
+  VarTable vars_;
+  std::unique_ptr<BgpEngine> wco_, hashjoin_;
+  TermId p_ = kInvalidTermId;
+};
+
+bool BitIdentical(const BindingSet& a, const BindingSet& b) {
+  if (a.schema() != b.schema() || a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r)
+    for (size_t c = 0; c < a.width(); ++c)
+      if (a.At(r, c) != b.At(r, c)) return false;
+  return true;
+}
+
+/// True when the rows ascend by the columns of `order`, lexicographically.
+bool SortedBy(const BindingSet& rows, const std::vector<VarId>& order) {
+  auto key = [&](size_t r) {
+    std::vector<TermId> k;
+    for (VarId v : order) k.push_back(rows.Value(r, v));
+    return k;
+  };
+  for (size_t r = 1; r < rows.size(); ++r)
+    if (!(key(r - 1) < key(r))) return false;
+  return true;
+}
+
+TEST_F(RangeCopyTest, EqualsGeneralPathAndHashJoin) {
+  const VarId s = vars_.Intern("s"), o = vars_.Intern("o"),
+              x = vars_.Intern("x");
+  struct Shape {
+    const char* body;
+    VarId s, o;
+  };
+  const Shape shapes[] = {
+      {"?s <http://ex.org/p> ?o .", s, o},
+      {"?s <http://ex.org/p> <http://ex.org/n5> .", s, kInvalidVarId},
+      {"<http://ex.org/n2> <http://ex.org/p> ?o .", kInvalidVarId, o},
+      {"?x <http://ex.org/p> ?x .", x, x},
+  };
+  for (const Shape& shape : shapes) {
+    Bgp bgp = Parse(shape.body);
+    // The same pattern twice is two core edges: the general path.
+    Bgp general = bgp;
+    general.triples.push_back(bgp.triples[0]);
+    for (const CandidateMap& cands : CandidateCases(shape.s, shape.o)) {
+      SCOPED_TRACE(std::string(shape.body) + " with " +
+                   std::to_string(cands.size()) + " candidate set(s)");
+      BindingSet got = wco_->Evaluate(bgp, &cands, nullptr);
+      EXPECT_TRUE(BitIdentical(got, wco_->Evaluate(general, &cands, nullptr)));
+      EXPECT_TRUE(BagEquals(got, hashjoin_->Evaluate(bgp, &cands, nullptr)));
+      EXPECT_EQ(got.schema(), bgp.Variables());
+      for (size_t r = 0; r < got.size(); ++r)
+        for (const auto& [v, set] : cands.sets())
+          EXPECT_EQ(set.count(got.Value(r, v)), 1u);
+    }
+  }
+  // The fixture's self-loops are the only `?x p ?x` matches.
+  EXPECT_EQ(wco_->Evaluate(Parse("?x <http://ex.org/p> ?x .")).size(), 2u);
+}
+
+TEST_F(RangeCopyTest, RowsAscendInExtensionOrder) {
+  const VarId s = vars_.Intern("s"), o = vars_.Intern("o");
+  Bgp bgp = Parse("?s <http://ex.org/p> ?o .");
+  // No candidates: equal seed sizes, so s binds first and the POS range's
+  // (o, s) pairs are re-sorted to (s, o).
+  BindingSet plain = wco_->Evaluate(bgp);
+  EXPECT_EQ(plain.size(), db_.stats().ForPredicate(p_).count);
+  EXPECT_TRUE(SortedBy(plain, {s, o}));
+  EXPECT_FALSE(SortedBy(plain, {o, s}));
+  // A small candidate set on o binds o first: rows ascend by (o, s).
+  CandidateMap cands;
+  cands.Set_(o, Nodes({5, 6, 8}));
+  BindingSet seeded = wco_->Evaluate(bgp, &cands, nullptr);
+  EXPECT_GT(seeded.size(), 3u);
+  EXPECT_TRUE(SortedBy(seeded, {o, s}));
+  EXPECT_FALSE(SortedBy(seeded, {s, o}));
+  // One variable: ascending values.
+  EXPECT_TRUE(SortedBy(
+      wco_->Evaluate(Parse("?s <http://ex.org/p> <http://ex.org/n5> .")), {s}));
+}
+
+TEST_F(RangeCopyTest, CountersFollowTheirDefinitions) {
+  const VarId s = vars_.Intern("s"), o = vars_.Intern("o");
+  Bgp bgp = Parse("?s <http://ex.org/p> ?o .");
+  const PredicateStats& ps = db_.stats().ForPredicate(p_);
+  ASSERT_GT(ps.count, 24u);
+
+  // Plain copy: one range lookup, every row emitted, nothing pruned.
+  BgpEvalCounters plain;
+  BindingSet all = wco_->Evaluate(bgp, nullptr, &plain);
+  EXPECT_EQ(plain.index_probes, 1u);
+  EXPECT_EQ(plain.rows_materialized, all.size());
+  EXPECT_EQ(plain.candidates_pruned, 0u);
+  EXPECT_EQ(plain.wco_evals, 1u);
+
+  // A candidate set larger than the range filters while copying: one
+  // pruned per matched triple it rejects.
+  CandidateMap large;
+  large.Set_(o, AllNodesBut({0, 12, 20}));
+  BgpEvalCounters filtered;
+  BindingSet kept = wco_->Evaluate(bgp, &large, &filtered);
+  EXPECT_EQ(filtered.index_probes, 1u);
+  EXPECT_EQ(filtered.rows_materialized, kept.size());
+  EXPECT_EQ(filtered.candidates_pruned, ps.count - kept.size());
+
+  // A smaller candidate set seeds its variable: one probe per candidate
+  // after the range lookup; the subjects never enumerated count as pruned.
+  CandidateMap small;
+  small.Set_(s, Nodes({1, 2, 3}));
+  BgpEvalCounters seeded;
+  BindingSet got = wco_->Evaluate(bgp, &small, &seeded);
+  EXPECT_EQ(seeded.index_probes, 1u + 3u);
+  EXPECT_EQ(seeded.rows_materialized, got.size());
+  EXPECT_EQ(seeded.candidates_pruned, ps.distinct_subjects - 3u);
+
+  // Seeded on s and filtered on o: the o rejections add one each.
+  CandidateMap both = small;
+  both.Set_(o, AllNodesBut({0, 12, 20}));
+  BgpEvalCounters mixed;
+  BindingSet both_rows = wco_->Evaluate(bgp, &both, &mixed);
+  EXPECT_EQ(mixed.candidates_pruned,
+            ps.distinct_subjects - 3u + got.size() - both_rows.size());
+
+  // One variable: the (p, o) range, filtered.
+  CandidateMap one;
+  one.Set_(s, Nodes({0, 1, 2, 3, 4, 5, 6, 7}));
+  Bgp bound = Parse("?s <http://ex.org/p> <http://ex.org/n5> .");
+  BgpEvalCounters single;
+  BindingSet matches = wco_->Evaluate(bound);
+  BindingSet in_set = wco_->Evaluate(bound, &one, &single);
+  EXPECT_EQ(single.index_probes, 1u);
+  EXPECT_EQ(single.rows_materialized, in_set.size());
+  EXPECT_EQ(single.candidates_pruned, matches.size() - in_set.size());
 }
 
 // ------------------------------------------------ CardinalityEstimator ---

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -321,11 +322,13 @@ TEST_F(TracedQueryTest, ParallelQueryRecordsMorselSpans) {
   sopts.intra_query_parallelism = 4;
   QueryService service(db_, sopts);
 
-  // Q2-style triangle query: enough work to split into several morsels.
-  const auto& workload = LubmPaperQueries();
+  // LUBM q1.1: its multi-pattern BGPs have enough work to split into
+  // several morsels.
+  const PaperQuery& query = LubmPaperQueries()[0];
+  ASSERT_EQ(query.id, "q1.1");
   std::vector<QueryRequest> batch;
   batch.push_back(
-      QueryRequest{workload[1].sparql, ExecOptions::Full(), {}, nullptr});
+      QueryRequest{query.sparql, ExecOptions::Full(), {}, nullptr});
   auto responses = service.RunBatch(std::move(batch));
   ASSERT_EQ(responses.size(), 1u);
   ASSERT_TRUE(responses[0].status.ok());
@@ -340,7 +343,10 @@ TEST_F(TracedQueryTest, ParallelQueryRecordsMorselSpans) {
     ++morsels;
     tids.insert(spans[i].tid);
     ASSERT_NE(spans[i].parent, TraceContext::kNoSpan);
-    EXPECT_EQ(spans[spans[i].parent].name, "bgp");
+    const TraceSpan& bgp = spans[spans[i].parent];
+    EXPECT_EQ(bgp.name, "bgp");
+    for (const auto& [key, value] : bgp.attrs)
+      if (key == "patterns") EXPECT_GE(std::stoi(value), 2);
   }
   EXPECT_GE(morsels, 1u);
 }

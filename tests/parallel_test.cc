@@ -302,6 +302,86 @@ TEST_P(ParallelEngineTest, CandidateSeededEvaluationMatchesFilteredUnpruned) {
   }
 }
 
+// Single-pattern BGPs: WCO copies the pattern's index range (or probes the
+// candidates when a candidate set seeds the first variable) on both the
+// sequential and the parallel entry point. Every parallelism degree and
+// morsel size reproduces sequential evaluation bit for bit, on both
+// engines.
+TEST_P(ParallelEngineTest, SinglePatternBgpsBitIdenticalToSequential) {
+  const std::string ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
+  const std::string dept = "<http://www.Department0.University0.edu>";
+  VarTable vars;
+  auto parse = [&](const std::string& body) {
+    auto g = ParseGroupGraphPattern("{" + body + "}", &vars);
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    Bgp bgp;
+    for (const auto& e : g->elements) bgp.triples.push_back(e.triple);
+    return bgp;
+  };
+  const std::vector<Bgp> bgps = {
+      parse("?x <" + ub + "emailAddress> ?e ."),
+      parse("?x <" + ub + "worksFor> " + dept + " ."),
+      parse(dept + " <" + ub + "subOrganizationOf> ?u ."),
+      parse("?x <" + ub + "subOrganizationOf> ?x ."),
+  };
+  const VarId x = vars.Lookup("x"), e = vars.Lookup("e"), u = vars.Lookup("u");
+
+  // Candidate cases: none; a few subjects (seeds x); every subject with a
+  // name except some (larger than most ranges: filters while copying).
+  CandidateMap::Set few, many;
+  const TermId name = db_.dict().Lookup(Term::Iri(ub + "name"));
+  const TermId works_for = db_.dict().Lookup(Term::Iri(ub + "worksFor"));
+  TriplePatternIds wq;
+  wq.p = works_for;
+  db_.store().Scan(wq, [&](const Triple& t) {
+    if (few.size() < 5 && t.s % 3 == 0) few.insert(t.s);
+    return true;
+  });
+  TriplePatternIds nq;
+  nq.p = name;
+  db_.store().Scan(nq, [&](const Triple& t) {
+    if (t.s % 7 != 0) many.insert(t.s);
+    return true;
+  });
+  ASSERT_EQ(few.size(), 5u);
+  std::vector<CandidateMap> cases(3);
+  cases[1].Set_(x, few);
+  cases[2].Set_(x, many);
+  cases[2].Set_(e, CandidateMap::Set{});  // no email survives
+  CandidateMap on_u;
+  on_u.Set_(u, CandidateMap::Set{db_.dict().Lookup(
+                   Term::Iri("http://www.University0.edu"))});
+  cases.push_back(on_u);
+
+  const BgpEngine& engine = db_.engine();
+  for (size_t b = 0; b < bgps.size(); ++b) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      BgpEvalCounters seq_counters;
+      BindingSet seq = engine.Evaluate(bgps[b], &cases[c], &seq_counters);
+      if (b == 0 && c == 0) EXPECT_GT(seq.size(), 1000u);
+      for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+        for (size_t morsel_size : {size_t{1}, size_t{64}}) {
+          ParallelSpec spec;
+          spec.pool = pool_.get();
+          spec.parallelism = parallelism;
+          spec.morsel_size = morsel_size;
+          BgpEvalCounters par_counters;
+          BindingSet par = engine.ParallelEvaluate(bgps[b], &cases[c],
+                                                   &par_counters, nullptr, spec);
+          EXPECT_TRUE(BitIdentical(par, seq))
+              << "bgp " << b << ", case " << c << ", parallelism "
+              << parallelism << ", morsel size " << morsel_size;
+          EXPECT_EQ(par_counters.rows_materialized,
+                    seq_counters.rows_materialized);
+          EXPECT_EQ(par_counters.candidates_pruned,
+                    seq_counters.candidates_pruned);
+          if (parallelism == 1) EXPECT_EQ(par_counters.morsels, 0u);
+        }
+      }
+    }
+  }
+}
+
 // parallelism = 0 means "all pool workers + 1" and stays bit-identical.
 TEST_P(ParallelEngineTest, AutoParallelismMatchesSequential) {
   const PaperQuery* q = FindQuery(LubmPaperQueries(), "q1.1");

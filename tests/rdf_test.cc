@@ -42,6 +42,17 @@ TEST(TermTest, LiteralEscaping) {
   EXPECT_EQ(t.ToString(), "\"line\\n\\\"q\\\"\"");
 }
 
+// Every escaped byte at the start, between unescaped runs, back to back
+// and at the end; AppendTo appends ToString's text after what is there.
+TEST(TermTest, LiteralEscapingEveryByteAndAppendTo) {
+  Term t = Term::LangLiteral("\\a\"bc\n\t\rd\"", "en");
+  const std::string expected = "\"\\\\a\\\"bc\\n\\t\\rd\\\"\"@en";
+  EXPECT_EQ(t.ToString(), expected);
+  std::string out = "x ";
+  t.AppendTo(&out);
+  EXPECT_EQ(out, "x " + expected);
+}
+
 TEST(TermTest, ParseRoundTripAllKinds) {
   std::vector<Term> terms = {
       Term::Iri("http://ex.org/x"),

@@ -646,6 +646,7 @@ int RunQuery(Database& db, const CliOptions& opts, const std::string& text,
     return 1;
   }
   finish_trace(result->size(), Status::OK());
+  Timer write_timer;
   if (parsed->form == QueryForm::kAsk) {
     std::cout << (result->empty() ? "false" : "true") << "\n";
   } else {
@@ -654,10 +655,13 @@ int RunQuery(Database& db, const CliOptions& opts, const std::string& text,
     ResultFormat format = opts.format;
     if (parsed->form == QueryForm::kConstruct && !opts.format_set)
       format = ResultFormat::kNTriples;
-    std::cout << FormatResults(*result, parsed->vars, db.dict(), format);
+    WriteResults(*result, parsed->vars, db.dict(), format, std::cout);
   }
+  std::cout.flush();
+  const double write_ms = write_timer.ElapsedMillis();
   std::cerr << "# " << result->size() << " rows in " << timer.ElapsedMillis()
-            << " ms (exec " << metrics.exec_ms << " ms, plan "
+            << " ms (exec " << metrics.exec_ms << " ms, write " << write_ms
+            << " ms, plan "
             << metrics.transform_ms << " ms, join space "
             << metrics.join_space << ", morsels " << metrics.bgp.morsels
             << ")\n";
