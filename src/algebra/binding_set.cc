@@ -15,11 +15,15 @@ size_t BindingSet::ColumnOf(VarId v) const {
 
 void BindingSet::AppendRow(const std::vector<TermId>& row) {
   assert(row.size() == width());
+  AppendRow(row.data());
+}
+
+void BindingSet::AppendRow(const TermId* row) {
   if (width() == 0) {
     ++scalar_count_;
     return;
   }
-  cells_.insert(cells_.end(), row.begin(), row.end());
+  cells_.insert(cells_.end(), row, row + width());
 }
 
 void BindingSet::Append(const BindingSet& other) {

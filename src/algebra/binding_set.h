@@ -35,6 +35,10 @@ class BindingSet {
   /// Appends one mapping; `row` must have width() entries.
   void AppendRow(const std::vector<TermId>& row);
 
+  /// Appends one mapping from width() cells at `row` (unread when width()
+  /// is 0).
+  void AppendRow(const TermId* row);
+
   /// Appends every mapping of `other`, which must share this schema exactly
   /// (same variables, same order). This is the deterministic merge step of
   /// morsel-driven evaluation: per-morsel results concatenated in morsel

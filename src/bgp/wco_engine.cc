@@ -1,17 +1,23 @@
 // gStore-style WCO engine, structured for morsel-driven parallelism.
 //
 // Evaluation is split into:
-//   1. BuildPlan   — resolve constants, partition patterns, and fix the
-//                    vertex extension order. The order is a pure function
-//                    of the BGP, the store's counts and the candidate-set
-//                    sizes, never of partial binding contents, so every
-//                    morsel follows it.
-//   2. ExtendStep  — one vertex extension over a set of partial bindings.
-//   3. CompleteRows— the remaining extensions + core verification +
-//                    residual expansion for a subset of partial bindings.
-//                    Row-independent, hence safe to run per morsel.
-// The final sort+unique (set semantics of BGP matching) runs globally over
-// the concatenated morsel outputs, which is why parallel evaluation is
+//   1. BuildPlan   — resolve constants, partition patterns, fix the vertex
+//                    extension order, and record for every step how its
+//                    variable is produced (the step recipe). Order and
+//                    recipes are a pure function of the BGP, the store's
+//                    counts and the candidate-set sizes, never of partial
+//                    binding contents, so every morsel follows them.
+//   2. ExtendStep  — one vertex extension over a flat buffer of partial
+//                    bindings, following its step's recipe.
+//   3. CompleteRows— the remaining extensions + residual expansion for a
+//                    subset of partial bindings. Row-independent, hence
+//                    safe to run per morsel.
+// Partial bindings live in one contiguous TermId buffer per step (FlatRows),
+// never one heap vector per row. Extension emits rows ascending and
+// distinct in var_order, and morsels are contiguous slices concatenated in
+// order, so without residual patterns the rows are already in their final
+// order; only residual expansion needs the global sort+unique (set
+// semantics of BGP matching). Either way parallel evaluation is
 // bit-identical to sequential: both emit the same sorted, deduplicated row
 // set over the same schema.
 //
@@ -19,11 +25,10 @@
 // distinct variables, or one) skips all of that: its matches are exactly
 // that pattern's index range, so RangeCopy copies the range's level-2
 // pairs into the result, applying candidate sets on the way, and emits the
-// rows in the same final_vars order the general path sorts them into.
+// rows in the same final_vars order the general path produces them in.
 #include "bgp/wco_engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/trace.h"
 
@@ -37,55 +42,145 @@ struct CoreEdge {
   ResolvedPattern r;
 };
 
-/// Collects the sorted, distinct values the variable `v` can take according
-/// to edge `e` given the values of the other positions in `fixed`, where
-/// kInvalidTermId in fixed means "that position is not yet bound".
-/// Returns the list through `out` (sorted ascending). `hint` carries the
-/// previous probe's level-1 position: consecutive rows probe with values
-/// drawn from sorted candidate lists, so the CSR directory lookup gallops
-/// from the last bucket instead of binary-searching from scratch.
-void AdjacencyList(const TripleStore& store, const CoreEdge& e, bool v_is_subj,
-                   TermId other_value, std::vector<TermId>* out,
-                   BgpEvalCounters* counters, TripleStore::ProbeHint* hint) {
-  TriplePatternIds q;
-  q.p = e.r.p;  // core edges have constant predicates
-  if (v_is_subj) {
-    q.o = other_value;
-  } else {
-    q.s = other_value;
+/// Partial bindings in one contiguous buffer: `count` rows of `width`
+/// cells, row i at cells[i * width, (i + 1) * width). Zero-width rows (the
+/// empty binding extension starts from) are counted, not stored.
+struct FlatRows {
+  size_t width = 0;
+  size_t count = 0;
+  std::vector<TermId> cells;
+
+  const TermId* Row(size_t i) const { return cells.data() + i * width; }
+
+  /// Rows [begin, end) as a buffer of their own (one morsel's seeds).
+  FlatRows Slice(size_t begin, size_t end) const {
+    FlatRows out;
+    out.width = width;
+    out.count = end - begin;
+    out.cells.assign(Row(begin), Row(end));
+    return out;
   }
+};
+
+/// One edge an extension step reads for its variable `v`: `v` is the
+/// subject (v_is_subj) or object of a constant-predicate-`p` pattern whose
+/// other endpoint is row column `other_col`, or, when that is SIZE_MAX, the
+/// constant `other`. `other` == kInvalidTermId there means the other
+/// endpoint is unbound: a projection of the edge, or a self-loop `?v p ?v`.
+struct StepEdge {
+  TermId p = kInvalidTermId;
+  bool v_is_subj = true;
+  bool self_loop = false;
+  size_t other_col = SIZE_MAX;
+  TermId other = kInvalidTermId;
+};
+
+/// How one extension step binds its variable. Each row's values are the
+/// intersection of the adjacency lists of `edges`, in order, filtered by
+/// the variable's candidate set. An `edges` entry with an unbound other
+/// endpoint is a self-loop, or the single projection edge of a variable
+/// with no bound neighbour. A projection step with `seed_from_candidates`
+/// probes the candidate set against the edge instead of scanning it.
+struct StepRecipe {
+  std::vector<StepEdge> edges;
+  const CandidateMap::Set* cands = nullptr;
+  bool seed_from_candidates = false;
+  /// Distinct values of the projection edge at its variable's end (what a
+  /// candidate-seeded step leaves unenumerated counts as pruned).
+  uint64_t projected = 0;
+};
+
+/// A sorted, duplicate-free list of term ids, read in place: a level-2
+/// index range (values are each pair's `third`) or a plain array.
+struct IdList {
+  const IdPair* pairs = nullptr;
+  const TermId* ids = nullptr;
+  size_t size = 0;
+
+  TermId operator[](size_t i) const {
+    return pairs != nullptr ? pairs[i].third : ids[i];
+  }
+
+  static IdList Of(const std::vector<TermId>& v) {
+    return IdList{nullptr, v.data(), v.size()};
+  }
+};
+
+/// Collects the sorted, distinct values the step variable can take
+/// according to edge `e` in row `row`: with the other endpoint bound or
+/// constant, the (s, p) range of SPO or the (p, o) range of POS, whose
+/// `third` components list the values ascending and distinct, read in
+/// place; with it unbound (projection, self-loop), a scan of the
+/// predicate into `buf`, sorted if the scan order left it unsorted. `hint`
+/// carries the previous probe's level-1 position: consecutive rows probe
+/// with values drawn from sorted lists, so the CSR directory lookup
+/// gallops from the last bucket instead of binary-searching from scratch.
+IdList Adjacency(const TripleStore& store, const StepEdge& e,
+                 const TermId* row, std::vector<TermId>* buf,
+                 BgpEvalCounters* counters, TripleStore::ProbeHint* hint) {
   if (counters) ++counters->index_probes;
-  const bool self_loop = e.r.sv != kInvalidVarId && e.r.sv == e.r.ov;
+  TriplePatternIds q;
+  q.p = e.p;
+  const TermId other = e.other_col != SIZE_MAX ? row[e.other_col] : e.other;
+  if (other != kInvalidTermId) {
+    (e.v_is_subj ? q.o : q.s) = other;
+    const TripleStore::MatchedRange range = store.Match(q, hint);
+    if (range.size() == 0) return IdList{};
+    return IdList{range.index->pairs.data() + range.begin, nullptr,
+                  range.size()};
+  }
+  buf->clear();
   TermId last = kInvalidTermId;
   store.Scan(q, hint, [&](const Triple& t) {
-    if (self_loop && t.s != t.o) return true;
-    TermId val = v_is_subj ? t.s : t.o;
-    // POS/SPO range scans yield the free position in ascending order, so
-    // dedup needs only the previous value.
+    if (e.self_loop && t.s != t.o) return true;
+    TermId val = e.v_is_subj ? t.s : t.o;
+    // The POS(p) scan yields (o, s) pairs: objects ascending, so dedup
+    // needs only the previous value; subjects need the sort below.
     if (val != last) {
-      out->push_back(val);
+      buf->push_back(val);
       last = val;
     }
     return true;
   });
-  // Scans through OSP (v subject, other=object bound) yield s sorted; scans
-  // through SPO with s bound yield o sorted; seed scans over POS(p) yield
-  // (o, s) pairs, so the projection may be unsorted. Normalize.
-  if (!std::is_sorted(out->begin(), out->end())) {
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
+  if (!std::is_sorted(buf->begin(), buf->end())) {
+    std::sort(buf->begin(), buf->end());
+    buf->erase(std::unique(buf->begin(), buf->end()), buf->end());
   }
+  return IdList::Of(*buf);
 }
 
-void IntersectSorted(std::vector<TermId>* a, const std::vector<TermId>& b) {
-  std::vector<TermId> out;
-  out.reserve(std::min(a->size(), b.size()));
-  std::set_intersection(a->begin(), a->end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  *a = std::move(out);
+/// a ∩ b into `out`. Walks the shorter list and gallops through the longer
+/// one, so a short adjacency list against a long one (a type's members,
+/// say) costs O(short · log long) rather than O(long).
+IdList Intersect(IdList a, IdList b, std::vector<TermId>* out) {
+  if (a.size > b.size) std::swap(a, b);
+  out->clear();
+  size_t j = 0;
+  for (size_t i = 0; i < a.size && j < b.size; ++i) {
+    const TermId v = a[i];
+    if (b[j] < v) {
+      // b[lo] < v; double the stride until b[hi] >= v (or the end), then
+      // binary-search (lo, hi] for the first element >= v.
+      size_t lo = j, step = 1, hi = j + 1;
+      while (hi < b.size && b[hi] < v) {
+        lo = hi;
+        step <<= 1;
+        hi = lo + step;
+      }
+      hi = std::min(hi, b.size);
+      while (lo + 1 < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        (b[mid] < v ? lo : hi) = mid;
+      }
+      j = hi;
+    }
+    if (j < b.size && b[j] == v) {
+      out->push_back(v);
+      ++j;
+    }
+  }
+  return IdList::Of(*out);
 }
-
-using Rows = std::vector<std::vector<TermId>>;
 
 /// The precomputed, row-independent shape of one BGP evaluation.
 struct WcoPlan {
@@ -93,6 +188,8 @@ struct WcoPlan {
   std::vector<ResolvedPattern> residual;
   /// Core extension order (covers every core variable).
   std::vector<VarId> var_order;
+  /// recipes[k] produces var_order[k] (column k).
+  std::vector<StepRecipe> recipes;
   /// Variables each residual pattern newly binds, in pattern order.
   std::vector<std::vector<VarId>> residual_new;
   /// var_order followed by all residual_new entries: the column layout of
@@ -108,12 +205,63 @@ size_t IndexOf(const std::vector<VarId>& vars, VarId v) {
   return SIZE_MAX;
 }
 
-/// Resolves and partitions the BGP and fixes the extension order by
-/// replaying the greedy next-variable choice over the simulated bound set.
-/// Candidate-set sizes count as seed sizes, so a small candidate set pulls
-/// its variable to the front.
+/// Records how step `step` of `plan` produces var_order[step]. Extension
+/// intersects the variable's self-loops and every incident edge whose other
+/// endpoint is a constant or already bound, so each core edge is joined at
+/// the step that binds its second endpoint and no row needs a later check.
+/// Only a variable with neither projects an edge: its first incident one.
+/// (A self-loop's list holds every value the variable can take, so it is
+/// the seed whenever the variable has one.)
+void BuildRecipe(WcoPlan* plan, size_t step, const Statistics& stats,
+                 const CandidateMap* cands) {
+  const VarId v = plan->var_order[step];
+  StepRecipe recipe;
+  recipe.cands = cands != nullptr ? cands->Get(v) : nullptr;
+  const CoreEdge* projection = nullptr;
+  for (const CoreEdge& e : plan->core) {
+    if (e.r.sv != v && e.r.ov != v) continue;
+    StepEdge se;
+    se.p = e.r.p;
+    if (e.r.sv == v && e.r.ov == v) {
+      se.self_loop = true;
+      recipe.edges.push_back(se);
+      continue;
+    }
+    se.v_is_subj = e.r.sv == v;
+    const VarId other_var = se.v_is_subj ? e.r.ov : e.r.sv;
+    if (other_var == kInvalidVarId) {
+      se.other = se.v_is_subj ? e.r.o : e.r.s;
+    } else {
+      se.other_col = IndexOf(plan->var_order, other_var);
+      if (se.other_col >= step) {
+        // Unbound other endpoint: joined when that variable binds.
+        if (projection == nullptr) projection = &e;
+        continue;
+      }
+    }
+    recipe.edges.push_back(se);
+  }
+  if (recipe.edges.empty() && projection != nullptr) {
+    StepEdge se;
+    se.p = projection->r.p;
+    se.v_is_subj = projection->r.sv == v;
+    recipe.edges.assign(1, se);
+    const PredicateStats& ps = stats.ForPredicate(se.p);
+    recipe.seed_from_candidates =
+        recipe.cands != nullptr && recipe.cands->size() < ps.count;
+    recipe.projected =
+        se.v_is_subj ? ps.distinct_subjects : ps.distinct_objects;
+  }
+  plan->recipes.push_back(std::move(recipe));
+}
+
+/// Resolves and partitions the BGP, fixes the extension order by replaying
+/// the greedy next-variable choice over the simulated bound set, and
+/// records each step's recipe. Candidate-set sizes count as seed sizes, so
+/// a small candidate set pulls its variable to the front.
 WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
-                  const Dictionary& dict, const CandidateMap* cands) {
+                  const Dictionary& dict, const Statistics& stats,
+                  const CandidateMap* cands) {
   WcoPlan plan;
   for (const TriplePattern& t : bgp.triples) {
     ResolvedPattern r = Resolve(t, dict);
@@ -192,6 +340,8 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
     }
     plan.var_order.push_back(next);
   }
+  for (size_t step = 0; step < plan.var_order.size(); ++step)
+    BuildRecipe(&plan, step, stats, cands);
 
   // Residual patterns bind their not-yet-bound variables in pattern order.
   plan.final_vars = plan.var_order;
@@ -207,21 +357,21 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
   return plan;
 }
 
-/// The projection of edge `e` onto its `v_is_subj` end, restricted to
+/// The projection of edge `e` onto its variable's end, restricted to
 /// `cands`: the sorted candidates with at least one matching triple, one
 /// index probe each. Equals projection ∩ candidates without enumerating the
 /// projection.
 std::vector<TermId> SeedFromCandidates(const TripleStore& store,
-                                       const CoreEdge& e, bool v_is_subj,
+                                       const StepEdge& e,
                                        const CandidateMap::Set& cands,
                                        BgpEvalCounters* counters,
                                        TripleStore::ProbeHint* hint) {
   std::vector<TermId> kept(cands.begin(), cands.end());
   std::sort(kept.begin(), kept.end());
   TriplePatternIds q;
-  q.p = e.r.p;
+  q.p = e.p;
   auto absent = [&](TermId c) {
-    (v_is_subj ? q.s : q.o) = c;
+    (e.v_is_subj ? q.s : q.o) = c;
     if (counters) ++counters->index_probes;
     return store.Count(q, hint) == 0;
   };
@@ -230,219 +380,105 @@ std::vector<TermId> SeedFromCandidates(const TripleStore& store,
 }
 
 /// Extends every partial binding in `rows` (columns = plan.var_order[0..step))
-/// with plan.var_order[step]. The per-row logic is independent across rows.
-Rows ExtendStep(const TripleStore& store, const Statistics& stats,
-                const WcoPlan& plan, size_t step, const Rows& rows,
-                const CandidateMap* cands, BgpEvalCounters* counters,
-                CancelCheckpoint& chk, TripleStore::ProbeHint* hint) {
-  const VarId next = plan.var_order[step];
-  auto col_of = [&](VarId v) -> size_t {
-    for (size_t i = 0; i < step; ++i)
-      if (plan.var_order[i] == v) return i;
-    return SIZE_MAX;
-  };
-  const CandidateMap::Set* cand_set =
-      cands != nullptr ? cands->Get(next) : nullptr;
-  // A projection seed is row-independent; with a candidate set smaller
-  // than the edge it is built once, from the candidates, on first use.
+/// with plan.var_order[step], following the step's recipe. Each row's
+/// values come out ascending, so sorted input rows give sorted output rows.
+FlatRows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
+                    const FlatRows& rows, BgpEvalCounters* counters,
+                    CancelCheckpoint& chk, TripleStore::ProbeHint* hint) {
+  const StepRecipe& recipe = plan.recipes[step];
+  const size_t width = rows.width;
+  FlatRows out;
+  out.width = width + 1;
+  // A candidate-seeded projection is row-independent: built once.
   std::vector<TermId> seeded;
-  bool seeded_built = false;
-  Rows next_rows;
-  std::vector<TermId> cand_list;
-  std::vector<TermId> edge_list;
-  for (const auto& row : rows) {
+  if (recipe.seed_from_candidates && rows.count > 0)
+    seeded = SeedFromCandidates(store, recipe.edges.front(), *recipe.cands,
+                                counters, hint);
+  std::vector<TermId> scan[2], meet[2];
+  for (size_t i = 0; i < rows.count; ++i) {
     chk.Poll();
-    cand_list.clear();
-    bool first_edge = true;
-    bool dead = false;
-    // Edges incident to `next` whose other endpoint is bound or constant
-    // contribute an adjacency list; intersect them all.
-    for (const CoreEdge& e : plan.core) {
-      bool v_is_subj;
-      if (e.r.sv == next && e.r.ov == next) {
-        v_is_subj = true;  // self-loop handled inside AdjacencyList
-      } else if (e.r.sv == next) {
-        v_is_subj = true;
-      } else if (e.r.ov == next) {
-        v_is_subj = false;
-      } else {
-        continue;
-      }
-      // Resolve the other endpoint.
-      TermId other;
-      if (e.r.sv == next && e.r.ov == next) {
-        other = kInvalidTermId;
-      } else if (v_is_subj) {
-        other = e.r.ov == kInvalidVarId
-                    ? e.r.o
-                    : (col_of(e.r.ov) == SIZE_MAX ? kInvalidTermId
-                                                  : row[col_of(e.r.ov)]);
-      } else {
-        other = e.r.sv == kInvalidVarId
-                    ? e.r.s
-                    : (col_of(e.r.sv) == SIZE_MAX ? kInvalidTermId
-                                                  : row[col_of(e.r.sv)]);
-      }
-      bool other_is_unbound_var =
-          (v_is_subj ? e.r.ov != kInvalidVarId && col_of(e.r.ov) == SIZE_MAX
-                     : e.r.sv != kInvalidVarId && col_of(e.r.sv) == SIZE_MAX) &&
-          !(e.r.sv == next && e.r.ov == next);
-      if (other_is_unbound_var && !first_edge) {
-        // Defer: this edge will constrain when its other endpoint binds.
-        continue;
-      }
-      if (other_is_unbound_var && first_edge) {
-        // Use the projection as a (sound) seed only if no better edge
-        // exists; check whether any other incident edge has a bound
-        // endpoint — if so, skip this one.
-        bool better_exists = false;
-        for (const CoreEdge& e2 : plan.core) {
-          if (&e2 == &e) continue;
-          if (e2.r.sv != next && e2.r.ov != next) continue;
-          bool e2_subj = e2.r.sv == next;
-          bool e2_other_unbound =
-              (e2_subj ? e2.r.ov != kInvalidVarId && col_of(e2.r.ov) == SIZE_MAX
-                       : e2.r.sv != kInvalidVarId && col_of(e2.r.sv) == SIZE_MAX);
-          if (!e2_other_unbound) {
-            better_exists = true;
-            break;
-          }
-        }
-        if (better_exists) continue;
-        const PredicateStats& ps = stats.ForPredicate(e.r.p);
-        if (cand_set != nullptr && cand_set->size() < ps.count) {
-          // Candidate-seeded projection: probe the candidates instead of
-          // scanning the edge. The projection values left out count as
-          // pruned, exactly as the filter below would have counted them.
-          if (!seeded_built) {
-            seeded = SeedFromCandidates(store, e, v_is_subj, *cand_set,
-                                        counters, hint);
-            seeded_built = true;
-          }
-          uint64_t projected =
-              v_is_subj ? ps.distinct_subjects : ps.distinct_objects;
-          if (counters && projected > seeded.size())
-            counters->candidates_pruned += projected - seeded.size();
-          cand_list = seeded;
-          first_edge = false;
-          if (cand_list.empty()) dead = true;
-          break;
-        }
-      }
-      edge_list.clear();
-      AdjacencyList(store, e, v_is_subj, other, &edge_list, counters, hint);
-      if (first_edge) {
-        cand_list = edge_list;
-        first_edge = false;
-      } else {
-        IntersectSorted(&cand_list, edge_list);
-      }
-      if (cand_list.empty()) {
-        dead = true;
-        break;
-      }
-      if (other_is_unbound_var) break;  // projection seed: one edge only
-    }
-    if (dead || first_edge) {
-      // first_edge still true means no incident edge could seed this
-      // variable for this row: disconnected from current bindings. Seed
-      // from the globally cheapest incident edge projection.
-      if (first_edge && !dead) {
-        for (const CoreEdge& e : plan.core) {
-          if (e.r.sv != next && e.r.ov != next) continue;
-          edge_list.clear();
-          AdjacencyList(store, e, e.r.sv == next, kInvalidTermId, &edge_list,
-                        counters, hint);
-          if (cand_list.empty()) {
-            cand_list = edge_list;
-          } else {
-            IntersectSorted(&cand_list, edge_list);
-          }
-          break;
-        }
-      } else if (dead) {
-        continue;
+    const TermId* row = rows.Row(i);
+    IdList list;
+    if (recipe.seed_from_candidates) {
+      // The projection values left out count as pruned, exactly as the
+      // candidate filter below would have counted them.
+      if (counters && recipe.projected > seeded.size())
+        counters->candidates_pruned += recipe.projected - seeded.size();
+      list = IdList::Of(seeded);
+    } else {
+      for (size_t k = 0; k < recipe.edges.size(); ++k) {
+        IdList adj = Adjacency(store, recipe.edges[k], row, &scan[k > 0],
+                               counters, hint);
+        list = k == 0 ? adj : Intersect(list, adj, &meet[k & 1]);
+        if (list.size == 0) break;
       }
     }
-    for (TermId val : cand_list) {
-      if (cand_set != nullptr && cand_set->count(val) == 0) {
+    if (recipe.cands == nullptr) {
+      const size_t at = out.cells.size();
+      out.cells.resize(at + list.size * out.width);
+      TermId* dst = out.cells.data() + at;
+      for (size_t j = 0; j < list.size; ++j, dst += out.width) {
+        std::copy(row, row + width, dst);
+        dst[width] = list[j];
+      }
+      out.count += list.size;
+      continue;
+    }
+    for (size_t j = 0; j < list.size; ++j) {
+      const TermId val = list[j];
+      if (recipe.cands->count(val) == 0) {
         if (counters) ++counters->candidates_pruned;
         continue;
       }
-      std::vector<TermId> nrow = row;
-      nrow.push_back(val);
-      next_rows.push_back(std::move(nrow));
+      out.cells.insert(out.cells.end(), row, row + width);
+      out.cells.push_back(val);
+      ++out.count;
     }
   }
-  if (counters) counters->rows_materialized += next_rows.size();
-  return next_rows;
+  if (counters) counters->rows_materialized += out.count;
+  return out;
 }
 
-/// Runs extension steps [first_step, end), core edge verification and
-/// residual pattern expansion over one subset of partial bindings. The
-/// result rows follow plan.final_vars; rows are NOT yet deduplicated.
-Rows CompleteRows(const TripleStore& store, const Statistics& stats,
-                  const WcoPlan& plan, size_t first_step, Rows rows,
-                  const CandidateMap* cands, BgpEvalCounters* counters,
-                  const CancelToken* cancel) {
+/// Runs extension steps [first_step, end) and residual pattern expansion
+/// over one subset of partial bindings. The result rows follow plan.final_vars; with residual
+/// patterns they are NOT yet sorted or deduplicated.
+FlatRows CompleteRows(const TripleStore& store, const WcoPlan& plan,
+                      size_t first_step, FlatRows rows,
+                      const CandidateMap* cands, BgpEvalCounters* counters,
+                      const CancelToken* cancel) {
   CancelCheckpoint chk(cancel);
   // One adaptive probe hint per morsel: rows arrive sorted by their seed
-  // column, so consecutive extension and verification probes hit nearby
-  // level-1 buckets and the galloping lookup pays O(1) amortized.
+  // column, so consecutive extension probes hit nearby level-1 buckets and
+  // the galloping lookup pays O(1) amortized.
   TripleStore::ProbeHint hint;
   for (size_t step = first_step; step < plan.var_order.size(); ++step) {
-    rows = ExtendStep(store, stats, plan, step, rows, cands, counters, chk,
-                      &hint);
-    if (rows.empty()) return rows;
-  }
-
-  // --- Verification of core edges not enforced during extension -------
-  // Every core edge with both endpoints bound (or constant) must hold;
-  // extensions enforced edges incident to the newly added variable with a
-  // bound other endpoint, which covers all of them inductively — except
-  // edges whose adjacency was skipped as "deferred". Re-check all.
-  auto core_col = [&](VarId v) { return IndexOf(plan.var_order, v); };
-  {
-    Rows verified;
-    verified.reserve(rows.size());
-    for (auto& row : rows) {
-      chk.Poll();
-      bool ok = true;
-      for (const CoreEdge& e : plan.core) {
-        TermId s = e.r.sv == kInvalidVarId ? e.r.s : row[core_col(e.r.sv)];
-        TermId o = e.r.ov == kInvalidVarId ? e.r.o : row[core_col(e.r.ov)];
-        if (!store.Contains(Triple(s, e.r.p, o), &hint)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) verified.push_back(std::move(row));
-    }
-    rows = std::move(verified);
+    rows = ExtendStep(store, plan, step, rows, counters, chk, &hint);
+    if (rows.count == 0) return rows;
   }
 
   // --- Residual patterns (variable predicates) -------------------------
-  size_t bound_count = plan.var_order.size();
   for (size_t ri = 0; ri < plan.residual.size(); ++ri) {
     const ResolvedPattern& r = plan.residual[ri];
     const std::vector<VarId>& new_vars = plan.residual_new[ri];
     auto col_of = [&](VarId v) -> size_t {
       size_t c = IndexOf(plan.final_vars, v);
-      return c < bound_count ? c : SIZE_MAX;
+      return c < rows.width ? c : SIZE_MAX;
     };
-    Rows next_rows;
-    for (const auto& row : rows) {
+    const size_t s_col = col_of(r.sv), p_col = col_of(r.pv),
+                 o_col = col_of(r.ov);
+    std::vector<const CandidateMap::Set*> new_cands;
+    for (VarId v : new_vars)
+      new_cands.push_back(cands != nullptr ? cands->Get(v) : nullptr);
+    FlatRows next;
+    next.width = rows.width + new_vars.size();
+    TermId vals[3];
+    for (size_t i = 0; i < rows.count; ++i) {
       chk.Poll();
+      const TermId* row = rows.Row(i);
       TriplePatternIds q;
-      q.s = r.sv == kInvalidVarId
-                ? r.s
-                : (col_of(r.sv) != SIZE_MAX ? row[col_of(r.sv)] : kInvalidTermId);
-      q.p = r.pv == kInvalidVarId
-                ? r.p
-                : (col_of(r.pv) != SIZE_MAX ? row[col_of(r.pv)] : kInvalidTermId);
-      q.o = r.ov == kInvalidVarId
-                ? r.o
-                : (col_of(r.ov) != SIZE_MAX ? row[col_of(r.ov)] : kInvalidTermId);
+      q.s = s_col != SIZE_MAX ? row[s_col] : r.s;
+      q.p = p_col != SIZE_MAX ? row[p_col] : r.p;
+      q.o = o_col != SIZE_MAX ? row[o_col] : r.o;
       if (counters) ++counters->index_probes;
       store.Scan(q, &hint, [&](const Triple& t) {
         chk.Poll();
@@ -450,50 +486,69 @@ Rows CompleteRows(const TripleStore& store, const Statistics& stats,
         if (r.sv != kInvalidVarId && r.sv == r.ov && t.s != t.o) return true;
         if (r.sv != kInvalidVarId && r.sv == r.pv && t.s != t.p) return true;
         if (r.pv != kInvalidVarId && r.pv == r.ov && t.p != t.o) return true;
-        std::vector<TermId> nrow = row;
-        for (VarId v : new_vars) {
-          TermId val = v == r.sv ? t.s : (v == r.pv ? t.p : t.o);
-          if (cands != nullptr) {
-            const auto* cs = cands->Get(v);
-            if (cs != nullptr && cs->count(val) == 0) {
-              if (counters) ++counters->candidates_pruned;
-              return true;
-            }
+        for (size_t k = 0; k < new_vars.size(); ++k) {
+          const VarId v = new_vars[k];
+          vals[k] = v == r.sv ? t.s : (v == r.pv ? t.p : t.o);
+          if (new_cands[k] != nullptr && new_cands[k]->count(vals[k]) == 0) {
+            if (counters) ++counters->candidates_pruned;
+            return true;
           }
-          nrow.push_back(val);
         }
-        next_rows.push_back(std::move(nrow));
+        next.cells.insert(next.cells.end(), row, row + rows.width);
+        next.cells.insert(next.cells.end(), vals, vals + new_vars.size());
+        ++next.count;
         return true;
       });
     }
-    bound_count += new_vars.size();
-    rows = std::move(next_rows);
-    if (counters) counters->rows_materialized += rows.size();
-    if (rows.empty()) return rows;
+    rows = std::move(next);
+    if (counters) counters->rows_materialized += rows.count;
+    if (rows.count == 0) return rows;
   }
   return rows;
 }
 
-/// Sort + unique (set semantics of BGP matching) and projection onto the
-/// canonical bgp.Variables() schema. Running this globally over the
-/// concatenated morsel outputs is what makes the parallel path bit-identical
-/// to the sequential one.
-BindingSet EmitRows(Rows rows, const WcoPlan& plan,
+/// Projection of the fully extended rows of every part, in part order,
+/// onto the canonical bgp.Variables() schema. Extension alone leaves rows
+/// ascending and distinct; residual expansion does not, so then the rows
+/// are sorted and deduplicated (set semantics of BGP matching) first.
+/// Either way the output order is that of the sorted row set, which is
+/// what makes the parallel path bit-identical to the sequential one.
+BindingSet EmitRows(const std::vector<FlatRows>& parts, const WcoPlan& plan,
                     const std::vector<VarId>& all_vars) {
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-
   BindingSet result(all_vars);
   std::vector<size_t> out_cols;
   out_cols.reserve(all_vars.size());
   for (VarId v : all_vars) out_cols.push_back(IndexOf(plan.final_vars, v));
   std::vector<TermId> out_row(all_vars.size());
-  result.Reserve(rows.size());
-  for (const auto& row : rows) {
+  auto emit = [&](const TermId* row) {
     for (size_t i = 0; i < out_cols.size(); ++i)
       out_row[i] = out_cols[i] == SIZE_MAX ? kUnboundTerm : row[out_cols[i]];
-    result.AppendRow(out_row);
+    result.AppendRow(out_row.data());
+  };
+
+  size_t total = 0;
+  for (const FlatRows& part : parts) total += part.count;
+  if (plan.residual.empty()) {
+    result.Reserve(total);
+    for (const FlatRows& part : parts)
+      for (size_t i = 0; i < part.count; ++i) emit(part.Row(i));
+    return result;
   }
+  std::vector<const TermId*> order;
+  order.reserve(total);
+  for (const FlatRows& part : parts)
+    for (size_t i = 0; i < part.count; ++i) order.push_back(part.Row(i));
+  const size_t width = plan.final_vars.size();
+  auto less = [width](const TermId* a, const TermId* b) {
+    return std::lexicographical_compare(a, a + width, b, b + width);
+  };
+  auto same = [width](const TermId* a, const TermId* b) {
+    return std::equal(a, a + width, b);
+  };
+  std::sort(order.begin(), order.end(), less);
+  order.erase(std::unique(order.begin(), order.end(), same), order.end());
+  result.Reserve(order.size());
+  for (const TermId* row : order) emit(row);
   return result;
 }
 
@@ -618,6 +673,7 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
   return result;
 }
 
+
 }  // namespace
 
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
@@ -632,14 +688,16 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
   if (IsRangeCopy(plan))
     return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
-  Rows rows{{}};  // one empty partial binding
-  rows = CompleteRows(store_, stats_, plan, 0, std::move(rows), cands, counters,
-                      cancel);
-  return EmitRows(std::move(rows), plan, all_vars);
+  FlatRows unit;  // one empty partial binding
+  unit.count = 1;
+  std::vector<FlatRows> parts;
+  parts.push_back(CompleteRows(store_, plan, 0, std::move(unit), cands,
+                               counters, cancel));
+  return EmitRows(parts, plan, all_vars);
 }
 
 BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
@@ -656,59 +714,54 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_, cands);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
   if (IsRangeCopy(plan))  // one scan of one range: nothing to split
     return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
 
   // Seed step: bind the first core variable sequentially (one index scan),
   // producing the partial bindings the morsels partition.
-  Rows rows{{}};
+  FlatRows seeds;
+  seeds.count = 1;
   size_t first_step = 0;
   if (!plan.var_order.empty()) {
     TripleStore::ProbeHint seed_hint;
-    rows = ExtendStep(store_, stats_, plan, 0, rows, cands, counters, chk,
-                      &seed_hint);
+    seeds = ExtendStep(store_, plan, 0, seeds, counters, chk, &seed_hint);
     first_step = 1;
-    if (rows.empty()) return BindingSet(all_vars);
+    if (seeds.count == 0) return BindingSet(all_vars);
   }
 
-  size_t num_morsels = spec.MorselCount(rows.size());
+  size_t num_morsels = spec.MorselCount(seeds.count);
+  std::vector<FlatRows> parts;
   if (num_morsels <= 1) {
     // Too little seed fan-out to split: finish sequentially.
-    rows = CompleteRows(store_, stats_, plan, first_step, std::move(rows),
-                        cands, counters, cancel);
-    return EmitRows(std::move(rows), plan, all_vars);
+    parts.push_back(CompleteRows(store_, plan, first_step, std::move(seeds),
+                                 cands, counters, cancel));
+    return EmitRows(parts, plan, all_vars);
   }
 
-  size_t per_morsel = (rows.size() + num_morsels - 1) / num_morsels;
-  std::vector<Rows> outs(num_morsels);
+  size_t per_morsel = (seeds.count + num_morsels - 1) / num_morsels;
+  parts.resize(num_morsels);
   std::vector<BgpEvalCounters> local(num_morsels);
   spec.pool->ParallelFor(num_morsels, spec.EffectiveWorkers(), [&](size_t m) {
     ScopedSpan morsel_span(spec.trace, "morsel", spec.trace_parent);
-    size_t begin = m * per_morsel;
-    size_t end = std::min(begin + per_morsel, rows.size());
-    // Morsel ranges are disjoint and `rows` is dead after the ParallelFor,
-    // so the seed bindings move instead of copying.
-    Rows subset(std::make_move_iterator(rows.begin() + begin),
-                std::make_move_iterator(rows.begin() + end));
-    outs[m] = CompleteRows(store_, stats_, plan, first_step,
-                           std::move(subset), cands, &local[m], cancel);
+    size_t begin = std::min(m * per_morsel, seeds.count);
+    size_t end = std::min(begin + per_morsel, seeds.count);
+    parts[m] = CompleteRows(store_, plan, first_step, seeds.Slice(begin, end),
+                            cands, &local[m], cancel);
     morsel_span.Attr("seed_rows", std::to_string(end - begin));
-    morsel_span.Attr("rows", std::to_string(outs[m].size()));
+    morsel_span.Attr("rows", std::to_string(parts[m].count));
   });
-
-  Rows merged;
-  size_t total = 0;
-  for (const Rows& out : outs) total += out.size();
-  merged.reserve(total);
-  for (Rows& out : outs)
-    for (auto& row : out) merged.push_back(std::move(row));
   if (counters) {
     for (const BgpEvalCounters& c : local) counters->Merge(c);
     counters->morsels += num_morsels;
   }
-  return EmitRows(std::move(merged), plan, all_vars);
+  return EmitRows(parts, plan, all_vars);
+}
+
+std::vector<VarId> WcoEngine::RowOrder(const Bgp& bgp,
+                                       const CandidateMap* cands) const {
+  return BuildPlan(bgp, store_, dict_, stats_, cands).final_vars;
 }
 
 double WcoEngine::EstimateCost(const Bgp& bgp) const {

@@ -36,4 +36,10 @@ void WriteResults(const BindingSet& rows, const VarTable& vars,
 std::string FormatResults(const BindingSet& rows, const VarTable& vars,
                           const Dictionary& dict, ResultFormat format);
 
+/// WriteResults for a CONSTRUCT answer: the bindings formats name its
+/// three columns subject, predicate and object, as the HTTP endpoint does
+/// (StreamingResultWriter::WriteTriples).
+void WriteConstructResults(const BindingSet& triples, const Dictionary& dict,
+                           ResultFormat format, std::ostream& out);
+
 }  // namespace sparqluo

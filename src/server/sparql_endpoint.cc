@@ -260,18 +260,8 @@ void SparqlEndpoint::HandleSparql(
         flush_bytes);
     if (r.plan->query.form == QueryForm::kAsk) {
       writer.WriteBoolean(!r.rows.empty());
-    } else if (is_construct && fmt != WireFormat::kNTriples) {
-      // CONSTRUCT in a bindings format: present the three triple columns
-      // under surface names instead of the parser's hidden variables.
-      VarTable names;
-      std::vector<VarId> schema{names.Intern("subject"),
-                                names.Intern("predicate"),
-                                names.Intern("object")};
-      if (writer.BeginSelect(schema, names)) {
-        for (size_t i = 0; i < r.rows.size(); ++i)
-          if (!writer.WriteRow(r.rows.Row(i), r.rows.width(), *dict)) break;
-        writer.Finish();
-      }
+    } else if (is_construct) {
+      writer.WriteTriples(r.rows, *dict);
     } else {
       writer.WriteAll(r.rows, r.plan->query.vars, *dict);
     }

@@ -205,7 +205,23 @@ bool StreamingResultWriter::WriteRow(const TermId* row, size_t width,
 bool StreamingResultWriter::WriteAll(const BindingSet& rows,
                                      const VarTable& vars,
                                      const Dictionary& dict) {
-  if (!BeginSelect(rows.schema(), vars)) return false;
+  return WriteAllAs(rows, rows.schema(), vars, dict);
+}
+
+bool StreamingResultWriter::WriteTriples(const BindingSet& triples,
+                                         const Dictionary& dict) {
+  VarTable names;
+  const std::vector<VarId> schema{names.Intern("subject"),
+                                  names.Intern("predicate"),
+                                  names.Intern("object")};
+  return WriteAllAs(triples, schema, names, dict);
+}
+
+bool StreamingResultWriter::WriteAllAs(const BindingSet& rows,
+                                       const std::vector<VarId>& schema,
+                                       const VarTable& vars,
+                                       const Dictionary& dict) {
+  if (!BeginSelect(schema, vars)) return false;
   size_t width = rows.width();
   if (width == 0) {
     // Zero-width results (e.g. a fully-bound BGP that matched): each

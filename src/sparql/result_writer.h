@@ -75,6 +75,12 @@ class StreamingResultWriter {
   bool WriteAll(const BindingSet& rows, const VarTable& vars,
                 const Dictionary& dict);
 
+  /// Convenience for a CONSTRUCT result (three columns per triple): like
+  /// WriteAll, with the columns named subject, predicate and object
+  /// instead of the parser's hidden template variables. N-Triples output
+  /// has no header, so there the names go unused.
+  bool WriteTriples(const BindingSet& triples, const Dictionary& dict);
+
   /// Serializes an ASK result (complete on its own: do not mix with
   /// BeginSelect/WriteRow). JSON: {"head":{},"boolean":b}; otherwise a
   /// single "true"/"false" line.
@@ -101,6 +107,10 @@ class StreamingResultWriter {
     std::string cell;            ///< Rendered text of `id` in this format.
   };
 
+  /// WriteAll over `schema` (named through `vars`) instead of the rows'
+  /// own schema; `schema` has one entry per column of `rows`.
+  bool WriteAllAs(const BindingSet& rows, const std::vector<VarId>& schema,
+                  const VarTable& vars, const Dictionary& dict);
   bool MaybeFlush();
   bool FlushAll();
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,43 @@ TEST_F(HttpProtocolTest, ContentNegotiation) {
       ASSERT_NE(ct, nullptr) << "Accept: " << c.accept;
       EXPECT_EQ(*ct, c.content_type) << "Accept: " << c.accept;
     }
+  }
+}
+
+// A CONSTRUCT answer reads the same over the wire as from the in-process
+// writer the CLI prints it with (WriteConstructResults): in the bindings
+// formats, three columns named subject, predicate and object, never the
+// parser's hidden template variables.
+TEST_F(HttpProtocolTest, ConstructAnswerMatchesCliWriter) {
+  Endpoint ep(*db_);
+  const std::string query =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
+      "CONSTRUCT { ?x ub:head ?d } WHERE { ?x ub:headOf ?d }";
+  QueryResponse ref = ep.service.Submit(QueryRequest{.text = query}).get();
+  ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
+  ASSERT_FALSE(ref.rows.empty());
+  struct Case {
+    const char* accept;
+    ResultFormat format;
+    const char* header;
+  };
+  const Case cases[] = {
+      {"text/tab-separated-values", ResultFormat::kTsv,
+       "?subject\t?predicate\t?object\n"},
+      {"application/sparql-results+json", ResultFormat::kJson,
+       "{\"head\":{\"vars\":[\"subject\",\"predicate\",\"object\"]}"},
+      {"application/n-triples", ResultFormat::kNTriples, "<http://"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.accept);
+    std::ostringstream cli;
+    WriteConstructResults(ref.rows, db_->dict(), c.format, cli);
+    const std::string expect = cli.str();
+    EXPECT_EQ(expect.rfind(c.header, 0), 0u) << expect.substr(0, 80);
+    Response r = Fetch(ep.port(), SparqlGet(query, c.accept));
+    ASSERT_TRUE(r.ok);
+    ASSERT_EQ(r.status, 200);
+    EXPECT_EQ(r.body, expect);
   }
 }
 

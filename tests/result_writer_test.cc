@@ -418,9 +418,9 @@ TEST_F(ResultWriterDifferentialTest, FormatResultsMatchesOracleInEveryFormat) {
               OracleRender(format, {"x", "y"}, raw, 0, dict_));
 }
 
-// The endpoint's CONSTRUCT-in-bindings path names the triple columns from a
-// VarTable of its own, separate from the query's: the JSON keys must come
-// from the table passed to BeginSelect, which need not outlive that call.
+// WriteTriples names a CONSTRUCT answer's columns from a VarTable of its
+// own, separate from the query's: the JSON keys must come from the table
+// passed to BeginSelect, which need not outlive that call.
 TEST_F(ResultWriterDifferentialTest, BeginSelectTakesNamesFromItsOwnVarTable) {
   const std::vector<std::vector<TermId>> rows = {
       {ids_[0], ids_[1], ids_[5]}, {ids_[0], ids_[1], ids_[14]}};

@@ -25,8 +25,9 @@
 //                             Perfetto or chrome://tracing)
 //   --metrics-out FILE        write the process metrics registry in
 //                             Prometheus text format on exit
-//   --paper-queries           append the paper's LUBM benchmark queries
-//                             (Appendix A, q1.1-q2.6) to the query batch
+//   --paper-queries           append the paper's benchmark queries
+//                             (Appendix A, q1.1-q2.6) to the query batch:
+//                             the DBpedia ones with --dbpedia, else LUBM's
 //   --slow-query-ms N         log queries at/over N ms at WARN (serving)
 //   --slow-query-sample K     log every Kth slow query (default 1 = all)
 //   --stats                   print dataset statistics and exit
@@ -652,10 +653,13 @@ int RunQuery(Database& db, const CliOptions& opts, const std::string& text,
   } else {
     // CONSTRUCT results are triples; render them as N-Triples unless the
     // user asked for a bindings format explicitly.
-    ResultFormat format = opts.format;
-    if (parsed->form == QueryForm::kConstruct && !opts.format_set)
-      format = ResultFormat::kNTriples;
-    WriteResults(*result, parsed->vars, db.dict(), format, std::cout);
+    if (parsed->form == QueryForm::kConstruct) {
+      WriteConstructResults(
+          *result, db.dict(),
+          opts.format_set ? opts.format : ResultFormat::kNTriples, std::cout);
+    } else {
+      WriteResults(*result, parsed->vars, db.dict(), opts.format, std::cout);
+    }
   }
   std::cout.flush();
   const double write_ms = write_timer.ElapsedMillis();
@@ -805,8 +809,15 @@ int main(int argc, char** argv) {
   } else if (!opts.paper_queries) {
     blocks = SplitBlocks(std::cin);
   }
-  if (opts.paper_queries)
-    for (const PaperQuery& q : LubmPaperQueries()) blocks.push_back(q.sparql);
+  if (opts.paper_queries) {
+    // The DBpedia queries exactly when the loader above generated DBpedia:
+    // --dbpedia given, and no source it prefers to that.
+    const bool dbpedia = opts.dbpedia > 0 && opts.data_file.empty() &&
+                         opts.snapshot_in.empty() && opts.lubm == 0;
+    for (const PaperQuery& q :
+         dbpedia ? DbpediaPaperQueries() : LubmPaperQueries())
+      blocks.push_back(q.sparql);
+  }
   if (blocks.empty()) return 0;
 
   TraceSink sink;
