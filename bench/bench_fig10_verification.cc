@@ -12,9 +12,9 @@ namespace {
 using namespace sparqluo;
 using namespace sparqluo::bench;
 
-void Grid(const char* engine_name, Database& db,
-          const std::vector<PaperQuery>& queries, const char* dataset) {
-  std::printf("--- %s, %s ---\n", engine_name, dataset);
+void Grid(Database& db, const std::vector<PaperQuery>& queries,
+          const char* dataset) {
+  std::printf("--- %s, %s ---\n", db.engine().name(), dataset);
   std::printf("%-7s %12s %12s %12s %12s %14s\n", "query", "base(ms)",
               "TT(ms)", "CP(ms)", "full(ms)", "transform(ms)");
   for (const PaperQuery& pq : queries) {
@@ -45,11 +45,11 @@ int main() {
   for (EngineKind kind : {EngineKind::kWco, EngineKind::kHashJoin}) {
     {
       auto db = MakeLubm(LubmUniversities(), kind);
-      Grid(EngineKindName(kind), *db, LubmPaperQueries(), "LUBM");
+      Grid(*db, LubmPaperQueries(), "LUBM");
     }
     {
       auto db = MakeDbpedia(DbpediaArticles(), kind);
-      Grid(EngineKindName(kind), *db, DbpediaPaperQueries(), "DBpedia");
+      Grid(*db, DbpediaPaperQueries(), "DBpedia");
     }
   }
   std::printf(

@@ -1,6 +1,6 @@
-// Result-cache, dedup and adaptive-engine benchmark.
+// Result-cache and dedup benchmark.
 //
-// Three sections over in-process QueryService instances:
+// Two sections over in-process QueryService instances:
 //
 //   1. hit vs miss latency: every LUBM paper query is run cold (result-
 //      cache miss: parse + plan + execute) and then repeatedly warm
@@ -10,9 +10,6 @@
 //   2. dedup fan-in: one leader plus N-1 identical concurrent submissions
 //      of a transitive-closure query; reports how many were deduped and
 //      the wall time for all N relative to one execution.
-//   3. adaptive engine: the paper workload cold through fixed-WCO,
-//      fixed-hash-join and adaptive services, reporting summed engine
-//      execution time and the adaptive engine's per-BGP choice counts.
 //
 // Usage:
 //   bench_result_cache [--json FILE] [--lubm N] [--repeats K]
@@ -223,41 +220,6 @@ int main(int argc, char** argv) {
     gate_failed = true;
   }
 
-  // --- 3. adaptive engine ------------------------------------------------
-  struct EngineRun {
-    std::string name;
-    double exec_ms = 0.0;
-    uint64_t wco_evals = 0;
-    uint64_t hashjoin_evals = 0;
-  };
-  std::vector<EngineRun> engines;
-  for (EngineKind kind :
-       {EngineKind::kWco, EngineKind::kHashJoin, EngineKind::kAdaptive}) {
-    auto edb = MakeLubm(lubm, kind);
-    QueryService::Options sopts;
-    sopts.num_threads = 2;
-    sopts.result_cache_bytes = 0;  // measure execution, not the cache
-    QueryService service(static_cast<const Database&>(*edb), sopts);
-    EngineRun run;
-    run.name = EngineKindName(kind);
-    for (const PaperQuery& q : workload) {
-      ExecOptions exec = ExecOptions::Full();
-      exec.max_intermediate_rows = kRowLimit;
-      QueryRequest req;
-      req.text = q.sparql;
-      req.options = exec;
-      QueryResponse r = service.Submit(std::move(req)).get();
-      if (r.status.ok()) run.exec_ms += r.metrics.exec_ms;
-    }
-    ServiceStatsSnapshot stats = service.Stats();
-    run.wco_evals = stats.bgp.wco_evals;
-    run.hashjoin_evals = stats.bgp.hashjoin_evals;
-    std::cerr << "# engine=" << run.name << " exec=" << run.exec_ms
-              << "ms wco_evals=" << run.wco_evals << " hashjoin_evals="
-              << run.hashjoin_evals << "\n";
-    engines.push_back(run);
-  }
-
   // --- JSON ---------------------------------------------------------------
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"result_cache\",\n  \"config\": {\n"
@@ -276,16 +238,7 @@ int main(int argc, char** argv) {
       << ", \"hit_ms\": " << total_hit << "},\n"
       << "  \"dedup\": {\"fan_in\": " << fan_in << ", \"solo_ms\": "
       << solo_ms << ", \"all_ms\": " << fanin_ms << ", \"deduped\": "
-      << deduped << ", \"executions\": " << executions << "},\n"
-      << "  \"engines\": [\n";
-  for (size_t i = 0; i < engines.size(); ++i) {
-    const EngineRun& e = engines[i];
-    out << "    {\"engine\": \"" << e.name << "\", \"exec_ms\": " << e.exec_ms
-        << ", \"wco_evals\": " << e.wco_evals << ", \"hashjoin_evals\": "
-        << e.hashjoin_evals << "}" << (i + 1 < engines.size() ? "," : "")
-        << "\n";
-  }
-  out << "  ]\n}\n";
+      << deduped << ", \"executions\": " << executions << "}\n}\n";
   std::cerr << "# wrote " << json_path << "\n";
   return gate_failed ? 1 : 0;
 }

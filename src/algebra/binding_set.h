@@ -53,8 +53,8 @@ class BindingSet {
   TermId At(size_t row, size_t col) const { return cells_[row * width() + col]; }
   void Set(size_t row, size_t col, TermId v) { cells_[row * width() + col] = v; }
 
-  /// Raw row view (width() cells).
-  const TermId* Row(size_t row) const { return &cells_[row * width()]; }
+  /// Raw row view (width() cells; not dereferenceable when width() is 0).
+  const TermId* Row(size_t row) const { return cells_.data() + row * width(); }
 
   /// Value of variable `v` in mapping `row`; kUnboundTerm if v is not in
   /// the schema or not in dom(µ_row).

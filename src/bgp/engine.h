@@ -26,20 +26,12 @@ struct BgpEvalCounters {
   uint64_t index_probes = 0;       ///< Store scans issued.
   uint64_t candidates_pruned = 0;  ///< Extensions rejected by candidate sets.
   uint64_t morsels = 0;            ///< Morsel tasks run by parallel paths.
-  /// BGP evaluations, each counted by the engine that ran it (under the
-  /// adaptive engine, by the delegate it picked). Counters are fresh per
-  /// BGP, so the executor reads them to stamp the engine on the BGP's
-  /// trace span.
-  uint64_t wco_evals = 0;
-  uint64_t hashjoin_evals = 0;
 
   void Merge(const BgpEvalCounters& other) {
     rows_materialized += other.rows_materialized;
     index_probes += other.index_probes;
     candidates_pruned += other.candidates_pruned;
     morsels += other.morsels;
-    wco_evals += other.wco_evals;
-    hashjoin_evals += other.hashjoin_evals;
   }
 };
 
@@ -93,13 +85,9 @@ class BgpEngine {
   virtual const CardinalityEstimator& estimator() const = 0;
 };
 
-/// Which host system's BGP engine to instantiate. kAdaptive holds both and
-/// picks the cheaper per BGP from the engines' own cost models (the
-/// cardinality pilot the planner already runs).
-enum class EngineKind { kWco, kHashJoin, kAdaptive };
-
-/// Human-readable engine name ("gStore-WCO" / "Jena-HashJoin" / "Adaptive").
-const char* EngineKindName(EngineKind kind);
+/// Which host system's BGP engine to instantiate; the engine's name() is
+/// its human-readable name ("gStore-WCO" / "Jena-HashJoin").
+enum class EngineKind { kWco, kHashJoin };
 
 /// Creates an engine bound to the given store/dictionary/statistics. All
 /// referenced objects must outlive the engine.

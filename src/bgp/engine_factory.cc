@@ -1,18 +1,8 @@
-#include "bgp/adaptive_engine.h"
 #include "bgp/engine.h"
 #include "bgp/hashjoin_engine.h"
 #include "bgp/wco_engine.h"
 
 namespace sparqluo {
-
-const char* EngineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kWco: return "gStore-WCO";
-    case EngineKind::kHashJoin: return "Jena-HashJoin";
-    case EngineKind::kAdaptive: return "Adaptive";
-  }
-  return "?";
-}
 
 std::unique_ptr<BgpEngine> MakeEngine(EngineKind kind, const TripleStore& store,
                                       const Dictionary& dict,
@@ -22,8 +12,6 @@ std::unique_ptr<BgpEngine> MakeEngine(EngineKind kind, const TripleStore& store,
       return std::make_unique<WcoEngine>(store, dict, stats);
     case EngineKind::kHashJoin:
       return std::make_unique<HashJoinEngine>(store, dict, stats);
-    case EngineKind::kAdaptive:
-      return std::make_unique<AdaptiveEngine>(store, dict, stats);
   }
   return nullptr;
 }

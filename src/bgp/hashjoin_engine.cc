@@ -114,7 +114,6 @@ BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
 BindingSet HashJoinEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                     BgpEvalCounters* counters,
                                     const CancelToken* cancel) const {
-  if (counters) ++counters->hashjoin_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet unit(all_vars);
@@ -144,7 +143,6 @@ BindingSet HashJoinEngine::ParallelEvaluate(const Bgp& bgp,
                                             const CancelToken* cancel,
                                             const ParallelSpec& spec) const {
   if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
-  if (counters) ++counters->hashjoin_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet unit(all_vars);

@@ -679,7 +679,6 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                BgpEvalCounters* counters,
                                const CancelToken* cancel) const {
-  if (counters) ++counters->wco_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);
@@ -705,7 +704,6 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
                                        const CancelToken* cancel,
                                        const ParallelSpec& spec) const {
   if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
-  if (counters) ++counters->wco_evals;
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);

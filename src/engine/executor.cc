@@ -166,10 +166,7 @@ class TreeEvaluator {
     bgp_span.Attr("patterns", std::to_string(bgp.triples.size()));
     bgp_span.Attr("rows", std::to_string(res.size()));
     bgp_span.Attr("pruned", cands_ptr != nullptr ? "true" : "false");
-    // The engine that evaluated this BGP: each host engine counts its own
-    // evaluations, and the counters are fresh per BGP.
-    bgp_span.Attr("engine",
-                  counters.wco_evals > 0 ? "gStore-WCO" : "Jena-HashJoin");
+    bgp_span.Attr("engine", engine_.name());
     if (metrics_) metrics_->bgp.Merge(counters);
     return res;
   }

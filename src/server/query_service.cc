@@ -383,8 +383,7 @@ QueryResponse QueryService::Process(Task& task) {
   // the normalized text, the plan-relevant option toggles and the pinned
   // version, so anything it matches is byte-identical by construction.
   const bool use_result_cache = options_.result_cache_bytes > 0;
-  const bool want_key = options_.enable_plan_cache || use_result_cache ||
-                        options_.enable_dedup;
+  const bool want_key = options_.enable_plan_cache || use_result_cache;
   std::string key;
   if (want_key) key = PlanCache::MakeKey(req.text, options, snap->id);
 
@@ -412,7 +411,7 @@ QueryResponse QueryService::Process(Task& task) {
   // calling thread drain its morsel queue itself.
   std::shared_ptr<InflightQuery> inflight;
   bool leader = false;
-  if (options_.enable_dedup) {
+  if (use_result_cache) {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     auto [it, inserted] = inflight_.try_emplace(key);
     if (inserted) {
@@ -477,7 +476,7 @@ QueryResponse QueryService::Process(Task& task) {
     // Leader failed: fall through and execute this request normally.
     inflight = nullptr;
   }
-  // Leader (or dedup disabled / leader-failure fallthrough): execute, and
+  // Leader (or cache off / leader-failure fallthrough): execute, and
   // publish the outcome to any followers no matter how this scope exits.
   // The guard's destructor publishes null on exceptional exits so
   // followers never hang on a leader that threw.

@@ -161,13 +161,13 @@ class QueryService {
     /// touching the engines. Invalidated by the same post-commit
     /// version-reachability sweep as the plan cache (InvalidateCaches).
     /// This is the total payload budget in bytes; 0 disables the cache.
+    /// In-flight dedup rides on the same switch: while the cache is on, a
+    /// submission whose cache key matches one already executing waits on
+    /// the leader's result instead of executing. The follower's
+    /// deadline/cancellation applies only to its own wait (it never
+    /// cancels the leader), and a failed leader makes followers execute
+    /// for themselves — errors are never shared or cached.
     size_t result_cache_bytes = 64ull << 20;
-    /// In-flight dedup: a submission whose cache key matches one already
-    /// executing waits on the leader's result instead of executing. The
-    /// follower's deadline/cancellation applies only to its own wait (it
-    /// never cancels the leader), and a failed leader makes followers
-    /// execute for themselves — errors are never shared or cached.
-    bool enable_dedup = true;
     /// Applied to requests that do not set their own deadline; <= 0 means
     /// unbounded.
     std::chrono::milliseconds default_deadline{0};

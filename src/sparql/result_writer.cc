@@ -222,17 +222,11 @@ bool StreamingResultWriter::WriteAllAs(const BindingSet& rows,
                                        const VarTable& vars,
                                        const Dictionary& dict) {
   if (!BeginSelect(schema, vars)) return false;
-  size_t width = rows.width();
-  if (width == 0) {
-    // Zero-width results (e.g. a fully-bound BGP that matched): each
-    // mapping renders as an empty JSON object / blank line.
-    static const TermId kNoCells = kUnboundTerm;
-    for (size_t r = 0; r < rows.size(); ++r)
-      if (!WriteRow(&kNoCells, 0, dict)) return false;
-  } else {
-    for (size_t r = 0; r < rows.size(); ++r)
-      if (!WriteRow(rows.Row(r), width, dict)) return false;
-  }
+  // A zero-width mapping (e.g. a fully-bound BGP that matched) renders as
+  // an empty JSON object / blank line.
+  const size_t width = rows.width();
+  for (size_t r = 0; r < rows.size(); ++r)
+    if (!WriteRow(rows.Row(r), width, dict)) return false;
   return Finish();
 }
 

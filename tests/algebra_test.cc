@@ -24,6 +24,16 @@ TEST(BindingSetTest, UnitHasOneEmptyMapping) {
   EXPECT_FALSE(u.empty());
 }
 
+// Zero-width rows have no cells: Row() must not index the empty cell
+// vector (undefined behaviour that UBSan reports as a null reference).
+TEST(BindingSetTest, ZeroWidthRowsAreEmptyViews) {
+  BindingSet b;
+  b.AppendEmptyMappings(3);
+  ASSERT_EQ(b.size(), 3u);
+  ASSERT_EQ(b.width(), 0u);
+  for (size_t r = 0; r < b.size(); ++r) EXPECT_EQ(b.Row(r), b.Row(0));
+}
+
 TEST(BindingSetTest, AppendAndAccess) {
   BindingSet b = Make({0, 1}, {{10, 20}, {11, 21}});
   EXPECT_EQ(b.size(), 2u);

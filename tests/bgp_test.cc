@@ -396,7 +396,6 @@ TEST_F(RangeCopyTest, CountersFollowTheirDefinitions) {
   EXPECT_EQ(plain.index_probes, 1u);
   EXPECT_EQ(plain.rows_materialized, all.size());
   EXPECT_EQ(plain.candidates_pruned, 0u);
-  EXPECT_EQ(plain.wco_evals, 1u);
 
   // A candidate set larger than the range filters while copying: one
   // pruned per matched triple it rejects.

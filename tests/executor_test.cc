@@ -322,19 +322,26 @@ TEST_P(ExecutorTest, EmptyRunningResultSkipsRemainingChildren) {
   CheckAllApproachesAgree(full);
 }
 
-TEST_P(ExecutorTest, EachEngineCountsItsOwnEvaluations) {
-  ExecMetrics m;
+// Every bgp span names the engine the database was finalized with.
+TEST_P(ExecutorTest, BgpSpansNameTheDatabaseEngine) {
+  TraceContext trace;
+  ExecOptions opts = ExecOptions::Full();
+  opts.trace = &trace;
   Run("SELECT * WHERE { ?x dbo:wikiPageWikiLink "
       "dbr:President_of_the_United_States . "
+      "{ ?x foaf:name ?n } UNION { ?x rdfs:label ?n } "
       "OPTIONAL { ?x owl:sameAs ?s } }",
-      ExecOptions::Full(), &m);
-  if (GetParam() == EngineKind::kWco) {
-    EXPECT_GT(m.bgp.wco_evals, 0u);
-    EXPECT_EQ(m.bgp.hashjoin_evals, 0u);
-  } else {
-    EXPECT_GT(m.bgp.hashjoin_evals, 0u);
-    EXPECT_EQ(m.bgp.wco_evals, 0u);
+      opts);
+  size_t bgps = 0;
+  for (const TraceSpan& span : trace.Snapshot()) {
+    if (span.name != "bgp") continue;
+    ++bgps;
+    std::string engine;
+    for (const auto& [key, value] : span.attrs)
+      if (key == "engine") engine = value;
+    EXPECT_EQ(engine, db_.engine().name());
   }
+  EXPECT_GE(bgps, 2u);
 }
 
 TEST_P(ExecutorTest, FilterInsideQuery) {

@@ -188,14 +188,10 @@ class ResultCacheServiceTest : public ::testing::TestWithParam<EngineKind> {
 
 INSTANTIATE_TEST_SUITE_P(Engines, ResultCacheServiceTest,
                          ::testing::Values(EngineKind::kWco,
-                                           EngineKind::kHashJoin,
-                                           EngineKind::kAdaptive),
+                                           EngineKind::kHashJoin),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kWco: return "Wco";
-                             case EngineKind::kHashJoin: return "HashJoin";
-                             default: return "Adaptive";
-                           }
+                           return info.param == EngineKind::kWco ? "Wco"
+                                                                 : "HashJoin";
                          });
 
 // A result-cache hit returns the exact bytes a cold execution produced:
@@ -241,44 +237,6 @@ TEST_P(ResultCacheServiceTest, CachedRepeatIsByteIdenticalToColdRun) {
     }
     EXPECT_GT(service.ResultCacheStats().hits, 0u);
   }
-}
-
-// The adaptive engine makes a per-BGP choice, records it in the merged
-// engine counters, and exposes it as the bgp span's "engine" attribute.
-TEST(AdaptiveEngineServiceTest, PerBgpChoiceIsCountedAndTraced) {
-  Database db;
-  LubmConfig cfg;
-  cfg.universities = 1;
-  GenerateLubm(cfg, &db);
-  db.Finalize(EngineKind::kAdaptive);
-
-  QueryService::Options sopts;
-  sopts.num_threads = 2;
-  QueryService service(static_cast<const Database&>(db), sopts);
-
-  const auto& workload = LubmPaperQueries();
-  for (const PaperQuery& q : workload) {
-    QueryRequest req;
-    req.text = q.sparql;
-    req.trace = std::make_shared<TraceContext>();
-    QueryResponse r = service.Submit(std::move(req)).get();
-    if (!r.status.ok()) continue;
-    ASSERT_NE(r.trace, nullptr);
-    for (const TraceSpan& span : r.trace->Snapshot()) {
-      if (span.name != "bgp") continue;
-      bool saw_engine = false;
-      for (const auto& [key, value] : span.attrs) {
-        if (key != "engine") continue;
-        saw_engine = true;
-        EXPECT_TRUE(value == "gStore-WCO" || value == "Jena-HashJoin")
-            << q.id << ": adaptive bgp span reports engine=" << value;
-      }
-      EXPECT_TRUE(saw_engine) << q.id << ": bgp span missing engine attr";
-    }
-  }
-  ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_GT(stats.bgp.wco_evals + stats.bgp.hashjoin_evals, 0u)
-      << "adaptive engine recorded no per-BGP choices";
 }
 
 // --- In-flight dedup -----------------------------------------------------
@@ -594,8 +552,7 @@ TEST(CachePinLifecycleTest, DirectDatabaseCommitSweepsServiceCaches) {
   EXPECT_EQ(service.CacheStats().entries, 0u);
 }
 
-// Disabled result cache: repeats re-execute, no entries ever appear, and
-// dedup can be switched off independently.
+// Disabled result cache: repeats re-execute and no entries ever appear.
 TEST(CachePinLifecycleTest, DisabledResultCacheNeverServesRepeats) {
   Database db;
   db.AddTriple(Term::Iri("http://ex.org/s"), Term::Iri("http://ex.org/p"),
@@ -605,7 +562,6 @@ TEST(CachePinLifecycleTest, DisabledResultCacheNeverServesRepeats) {
   QueryService::Options options;
   options.num_threads = 1;
   options.result_cache_bytes = 0;
-  options.enable_dedup = false;
   QueryService service(static_cast<const Database&>(db), options);
 
   QueryRequest a, b;

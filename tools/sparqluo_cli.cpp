@@ -12,8 +12,7 @@
 //                             mmap section format; v1 = data-only records,
 //                             see docs/snapshot_format.md). --snapshot
 //                             loads either format, auto-detected.
-//   --engine auto|wco|hashjoin  BGP engine (default wco; auto picks per BGP
-//                             by estimated cost)
+//   --engine wco|hashjoin     BGP engine (default wco)
 //   --mode base|tt|cp|full    optimization level (default full)
 //   --format tsv|csv|json|nt  output format (default tsv; CONSTRUCT
 //                             queries default to nt = N-Triples)
@@ -254,7 +253,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " (--data FILE.nt | --lubm N | --dbpedia N | --snapshot FILE) "
                "[--save-snapshot FILE] [--snapshot-format v1|v2] [--engine "
-               "auto|wco|hashjoin] [--mode base|tt|cp|full] [--format "
+               "wco|hashjoin] [--mode base|tt|cp|full] [--format "
                "tsv|csv|json|nt] [--explain] [--explain-analyze] [--trace-out "
                "FILE] [--metrics-out FILE] [--paper-queries] [--stats] "
                "[--max-rows N] [--parallelism N] [--concurrency N] "
@@ -309,8 +308,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
         opts->engine = EngineKind::kWco;
       } else if (std::strcmp(v, "hashjoin") == 0) {
         opts->engine = EngineKind::kHashJoin;
-      } else if (std::strcmp(v, "auto") == 0) {
-        opts->engine = EngineKind::kAdaptive;
       } else {
         return false;
       }
@@ -431,7 +428,6 @@ int RunService(Database& db, const CliOptions& opts,
   QueryService::Options sopts;
   sopts.num_threads = opts.concurrency;
   sopts.enable_plan_cache = opts.plan_cache;
-  sopts.enable_dedup = opts.result_cache;
   sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
   sopts.intra_query_parallelism = opts.parallelism;
   sopts.trace_queries = sink->collect || opts.explain_analyze;
@@ -538,7 +534,6 @@ int RunServe(Database& db, const CliOptions& opts) {
   QueryService::Options sopts;
   sopts.num_threads = opts.concurrency;  // 0 = hardware threads
   sopts.enable_plan_cache = opts.plan_cache;
-  sopts.enable_dedup = opts.result_cache;
   sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
   sopts.intra_query_parallelism = opts.parallelism;
   sopts.slow_query_ms = opts.slow_query_ms;
