@@ -95,7 +95,7 @@ BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
     size_t end = std::min(begin + per_morsel, range.size());
     ScanRangeInto(range.Slice(begin, end), r, schema, cands, &local[m], &chk,
                   &outs[m]);
-    morsel_span.Attr("rows", std::to_string(outs[m].size()));
+    morsel_span.Attr("rows", outs[m].size());
   });
 
   size_t total = 0;

@@ -747,8 +747,8 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
     size_t end = std::min(begin + per_morsel, seeds.count);
     parts[m] = CompleteRows(store_, plan, first_step, seeds.Slice(begin, end),
                             cands, &local[m], cancel);
-    morsel_span.Attr("seed_rows", std::to_string(end - begin));
-    morsel_span.Attr("rows", std::to_string(parts[m].count));
+    morsel_span.Attr("seed_rows", end - begin);
+    morsel_span.Attr("rows", parts[m].count);
   });
   if (counters) {
     for (const BgpEvalCounters& c : local) counters->Merge(c);

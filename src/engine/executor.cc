@@ -56,15 +56,13 @@ class TreeEvaluator {
               EvaluateBgp(child->bgp,
                           options_.candidate_pruning ? inherited : nullptr);
           acc.js *= static_cast<double>(std::max<size_t>(res.size(), 1));
-          acc.rows = first ? std::move(res)
-                           : Join(acc.rows, res, options_.cancel);
+          acc.rows = first ? std::move(res) : JoinInto(acc.rows, res);
           break;
         }
         case BeNode::Type::kGroup: {
           EvalResult sub = EvalGroup(*child, cand_source());
           acc.js *= std::max(sub.js, 1.0);
-          acc.rows = first ? std::move(sub.rows)
-                           : Join(acc.rows, sub.rows, options_.cancel);
+          acc.rows = first ? std::move(sub.rows) : JoinInto(acc.rows, sub.rows);
           break;
         }
         case BeNode::Type::kUnion: {
@@ -75,11 +73,13 @@ class TreeEvaluator {
           for (const auto& branch : child->children) {
             EvalResult sub = EvalGroup(*branch, cand);
             js_sum += sub.js;
-            u = ufirst ? std::move(sub.rows) : UnionBag(u, sub.rows);
+            u = ufirst ? std::move(sub.rows)
+                       : Traced("union", u.size() + sub.rows.size(),
+                                [&] { return UnionBag(u, sub.rows); });
             ufirst = false;
           }
           acc.js *= std::max(js_sum, 1.0);
-          acc.rows = first ? std::move(u) : Join(acc.rows, u, options_.cancel);
+          acc.rows = first ? std::move(u) : JoinInto(acc.rows, u);
           break;
         }
         case BeNode::Type::kOptional: {
@@ -92,11 +92,15 @@ class TreeEvaluator {
               options_.candidate_pruning && !first ? &acc.rows : nullptr;
           EvalResult sub = EvalGroup(*child->children[0], cand);
           acc.js *= std::max(sub.js, 1.0);
-          acc.rows = LeftOuterJoin(acc.rows, sub.rows, options_.cancel);
+          acc.rows = Traced("leftjoin", acc.rows.size() + sub.rows.size(), [&] {
+            return LeftOuterJoin(acc.rows, sub.rows, options_.cancel);
+          });
           break;
         }
         case BeNode::Type::kFilter: {
-          acc.rows = ApplyFilter(acc.rows, child->filter, dict_);
+          acc.rows = Traced("filter", acc.rows.size(), [&] {
+            return ApplyFilter(acc.rows, child->filter, dict_);
+          });
           break;
         }
         case BeNode::Type::kPath: {
@@ -108,10 +112,9 @@ class TreeEvaluator {
           spec.trace_parent = path_span.id();
           BindingSet res = EvaluatePath(child->path, store_, dict_, intern_,
                                         options_.cancel, spec);
-          path_span.Attr("rows", std::to_string(res.size()));
+          path_span.Attr("rows", res.size());
           acc.js *= static_cast<double>(std::max<size_t>(res.size(), 1));
-          acc.rows = first ? std::move(res)
-                           : Join(acc.rows, res, options_.cancel);
+          acc.rows = first ? std::move(res) : JoinInto(acc.rows, res);
           break;
         }
       }
@@ -133,6 +136,21 @@ class TreeEvaluator {
   }
 
  private:
+  /// Runs operator `op` under a span `name` (a sibling of the bgp spans)
+  /// recording the rows of its inputs and of its result.
+  template <typename Op>
+  BindingSet Traced(const char* name, size_t rows_in, Op&& op) {
+    ScopedSpan span(options_.trace, name, options_.trace_parent);
+    BindingSet out = op();
+    span.Attr("rows_in", rows_in);
+    span.Attr("rows_out", out.size());
+    return out;
+  }
+
+  BindingSet JoinInto(const BindingSet& acc, const BindingSet& rows) {
+    return Traced("join", acc.size() + rows.size(),
+                  [&] { return Join(acc, rows, options_.cancel); });
+  }
 
   BindingSet EvaluateBgp(const Bgp& bgp, const BindingSet* cand_source) {
     CandidateMap cands;
@@ -150,8 +168,16 @@ class TreeEvaluator {
           options_.adaptive_threshold
               ? std::max(engine_.EstimateCardinality(bgp), fixed)
               : fixed;
+      ScopedSpan cand_span(options_.trace, "candidates",
+                           options_.trace_parent);
       BuildCandidates(*cand_source, bgp, threshold, &cands);
       if (!cands.empty()) cands_ptr = &cands;
+      if (options_.trace != nullptr) {
+        size_t values = 0;
+        for (const auto& [v, set] : cands.sets()) values += set.size();
+        cand_span.Attr("rows_in", cand_source->size());
+        cand_span.Attr("rows_out", values);
+      }
     }
     BgpEvalCounters counters;
     ScopedSpan bgp_span(options_.trace, "bgp", options_.trace_parent);
@@ -163,8 +189,8 @@ class TreeEvaluator {
             ? engine_.ParallelEvaluate(bgp, cands_ptr, &counters,
                                        options_.cancel, spec)
             : engine_.Evaluate(bgp, cands_ptr, &counters, options_.cancel);
-    bgp_span.Attr("patterns", std::to_string(bgp.triples.size()));
-    bgp_span.Attr("rows", std::to_string(res.size()));
+    bgp_span.Attr("patterns", bgp.triples.size());
+    bgp_span.Attr("rows", res.size());
     bgp_span.Attr("pruned", cands_ptr != nullptr ? "true" : "false");
     bgp_span.Attr("engine", engine_.name());
     if (metrics_) metrics_->bgp.Merge(counters);
@@ -231,8 +257,8 @@ BeTree Executor::Plan(const Query& query, const ExecOptions& options,
     topt.skip_cp_equivalent_levels = options.candidate_pruning;
     TransformStats tstats;
     MultiLevelTransform(&tree, cost, topt, &tstats);
-    transform_span.Attr("merges", std::to_string(tstats.merges));
-    transform_span.Attr("injects", std::to_string(tstats.injects));
+    transform_span.Attr("merges", tstats.merges);
+    transform_span.Attr("injects", tstats.injects);
     if (metrics) metrics->transform = tstats;
   }
   // §6: pruning only helps when the small result is evaluated first, so
@@ -240,9 +266,8 @@ BeTree Executor::Plan(const Query& query, const ExecOptions& options,
   // and applies its postponable OPTIONALs after the joins they can prune.
   if (options.candidate_pruning) {
     JoinOrderStats order = OrderJoinRuns(&tree, cost);
-    plan_span.Attr("join_runs_reordered", std::to_string(order.runs_reordered));
-    plan_span.Attr("optionals_postponed",
-                   std::to_string(order.optionals_postponed));
+    plan_span.Attr("join_runs_reordered", order.runs_reordered);
+    plan_span.Attr("optionals_postponed", order.optionals_postponed);
     if (metrics) metrics->optionals_postponed = order.optionals_postponed;
   }
   if (metrics) metrics->transform_ms = timer.ElapsedMillis();
@@ -358,7 +383,7 @@ Result<BindingSet> Executor::ExecutePlanned(const Query& query,
     ExecOptions eval_options = options;
     eval_options.trace_parent = eval_span.id();
     rows = EvaluateTree(tree, eval_options, m);
-    eval_span.Attr("rows", std::to_string(rows.size()));
+    eval_span.Attr("rows", rows.size());
     if (m->aborted) eval_span.Attr("aborted", AbortReasonName(m->abort_reason));
   }
   if (m->aborted) {
@@ -389,7 +414,7 @@ Result<BindingSet> Executor::ExecutePlanned(const Query& query,
       return Status::ResourceExhausted(e.deadline ? "query deadline exceeded"
                                                   : "query cancelled");
     }
-    agg_span.Attr("groups", std::to_string(rows.size()));
+    agg_span.Attr("groups", rows.size());
   }
   ScopedSpan serialize_span(options.trace, "serialize", options.trace_parent);
   if (query.form == QueryForm::kAsk) {
@@ -409,7 +434,7 @@ Result<BindingSet> Executor::ExecutePlanned(const Query& query,
     Result<BindingSet> triples = ConstructTriples(query, rows);
     if (!triples.ok()) return triples.status();
     m->result_rows = triples->size();
-    serialize_span.Attr("rows", std::to_string(triples->size()));
+    serialize_span.Attr("rows", triples->size());
     return triples;
   }
   if (!query.projection.empty()) {
@@ -432,7 +457,7 @@ Result<BindingSet> Executor::ExecutePlanned(const Query& query,
   if (query.offset > 0 || query.limit != SIZE_MAX)
     rows = Slice(rows, query.offset, query.limit);
   m->result_rows = rows.size();
-  serialize_span.Attr("rows", std::to_string(rows.size()));
+  serialize_span.Attr("rows", rows.size());
   return rows;
 }
 

@@ -134,6 +134,12 @@ class ScopedSpan {
     if (ctx_ != nullptr) ctx_->AddAttr(id_, key, std::move(value));
   }
 
+  /// Numeric attribute, formatted only when a context is attached (so the
+  /// disabled path stays free of string work).
+  void Attr(std::string_view key, uint64_t value) {
+    if (ctx_ != nullptr) ctx_->AddAttr(id_, key, std::to_string(value));
+  }
+
  private:
   TraceContext* ctx_;
   TraceContext::SpanId id_;

@@ -17,6 +17,9 @@ Checks:
      `cache_hit`).
 3. Containment — every event nests inside the query span of its pid
    (start >= query start, end <= query end, small clock slop allowed).
+4. Names — every span name is one the program records, and the executor's
+   operator spans (`join`, `leftjoin`, `union`, `filter`, `candidates`)
+   carry their `rows_in` and `rows_out` arguments.
 
 Usage: tools/check_trace.py TRACE_FILE [--min-queries N]
 Exit status: 0 = valid, 1 = validation errors (all printed).
@@ -26,6 +29,11 @@ import sys
 
 SLOP_US = 5  # steady_clock reads on different threads; keep a tiny margin
 EXECUTION_PHASES = {"parse", "plan", "eval", "serialize"}
+OPERATOR_SPANS = {"join", "leftjoin", "union", "filter", "candidates"}
+KNOWN_SPANS = EXECUTION_PHASES | OPERATOR_SPANS | {
+    "query", "queue_wait", "plan_cache_lookup", "result_cache_lookup",
+    "dedup_wait", "transform", "bgp", "morsel", "path", "aggregate",
+}
 
 
 def main():
@@ -106,6 +114,14 @@ def main():
                 f"have {sorted(names)})")
         q_start, q_end = root["ts"], root["ts"] + root["dur"]
         for e in evs:
+            if e["name"] not in KNOWN_SPANS:
+                errors.append(f"{path}: pid {pid}: unknown span {e['name']!r}")
+            if e["name"] in OPERATOR_SPANS:
+                missing_args = {"rows_in", "rows_out"} - set(e.get("args", {}))
+                if missing_args:
+                    errors.append(
+                        f"{path}: pid {pid}: span {e['name']!r} lacks "
+                        f"{sorted(missing_args)}")
             if e is root:
                 continue
             if (e["ts"] < q_start - SLOP_US or
