@@ -6,6 +6,7 @@
 // different domains, as produced by UNION and OPTIONAL.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,9 +91,58 @@ class BindingSet {
                        size_t max_rows = 20) const;
 
  private:
+  friend class RowWriter;
+
   std::vector<VarId> schema_;
   std::vector<TermId> cells_;
   size_t scalar_count_ = 0;  ///< Row count when width() == 0.
+};
+
+/// Builds a BindingSet row by row, each row's cells written in place:
+/// Next() hands out the next row's width() cells from a buffer that grows
+/// geometrically, and Finish() moves the buffer into the result. Operators
+/// emitting many narrow rows use it because BindingSet::AppendRow pays a
+/// vector range insert per row, several times the cost of the writes.
+class RowWriter {
+ public:
+  explicit RowWriter(std::vector<VarId> schema) : out_(std::move(schema)) {}
+
+  size_t width() const { return out_.width(); }
+
+  /// Makes room for `rows` rows in all.
+  void Reserve(size_t rows) {
+    if (rows * width() > cells_.size()) cells_.resize(rows * width());
+  }
+
+  /// The next row's width() cells, every one to be written by the caller
+  /// (not dereferenceable when width() is 0: the row then only counts).
+  TermId* Next() {
+    ++rows_;
+    if (used_ + width() > cells_.size())
+      cells_.resize(std::max(2 * cells_.size(), used_ + 64 * width()));
+    TermId* row = cells_.data() + used_;
+    used_ += width();
+    return row;
+  }
+
+  /// Appends one row copied from width() cells at `row`.
+  void Append(const TermId* row) { std::copy(row, row + width(), Next()); }
+
+  size_t rows() const { return rows_; }
+
+  /// The rows written, as a BindingSet. Call once, last.
+  BindingSet Finish() {
+    cells_.resize(used_);
+    if (width() == 0) out_.scalar_count_ = rows_;
+    out_.cells_ = std::move(cells_);
+    return std::move(out_);
+  }
+
+ private:
+  BindingSet out_;
+  std::vector<TermId> cells_;
+  size_t used_ = 0;  ///< Cells written: rows_ * width().
+  size_t rows_ = 0;
 };
 
 /// True iff the two bags are equal as multisets of mappings (domain-aware:

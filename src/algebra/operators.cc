@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
-#include <unordered_map>
+#include <stdexcept>
 
 namespace sparqluo {
 
@@ -23,23 +23,23 @@ bool RowsCompatible(const TermId* ra, const TermId* rb,
 
 namespace {
 
-struct VecHash {
-  size_t operator()(const std::vector<TermId>& v) const {
-    size_t h = 1469598103934665603ULL;
-    for (TermId x : v) {
-      h ^= x;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
 /// Shared machinery for Join / LeftOuterJoin / Minus: finds, for each row of
-/// `a`, the compatible rows of `b`. Single shared variables — the dominant
-/// case — use a scalar-keyed hash to avoid per-row vector allocations.
-/// An explicit [b_begin, b_end) restricts the indexed b-rows, which is how
-/// ParallelJoin shards one hash build across workers; reported row indices
-/// are absolute either way.
+/// the probe side `a`, the compatible rows of the build side `b`.
+///
+/// One CSR table indexes b's rows [b_begin, b_end). Rows whose join-key
+/// cells are all bound are grouped by key: an open-addressing directory,
+/// hashed straight from the row cells, maps each distinct key to a bucket,
+/// and bucket k's rows are rows_[offsets_[k], offsets_[k + 1]) in ascending
+/// row order. Rows with an unbound key cell can match several keys; they
+/// are kept apart in `partial_`, in row order. A probe hashes its own row's
+/// cells and compares them with the bucket's first row, so it allocates
+/// nothing.
+///
+/// Order contract: a probe row whose key is fully bound sees its bucket's
+/// rows ascending, then the compatible partial rows ascending; a probe row
+/// with an unbound key cell sees every compatible row of the range
+/// ascending. An explicit [b_begin, b_end) is how ParallelJoin shards one
+/// build across workers; reported row indices are absolute either way.
 class CompatFinder {
  public:
   CompatFinder(const BindingSet& a, const BindingSet& b, size_t b_begin = 0,
@@ -47,52 +47,22 @@ class CompatFinder {
       : a_(a), b_(b), b_begin_(b_begin), b_end_(std::min(b_end, b.size())) {
     for (size_t i = 0; i < a.schema().size(); ++i) {
       size_t j = b.ColumnOf(a.schema()[i]);
-      if (j != SIZE_MAX) common_.emplace_back(i, j);
-    }
-    if (common_.empty() || b.width() == 0) return;
-    // Hash-partition b's rows on their common-variable values. Rows with an
-    // unbound common variable can match several keys, so they go to a
-    // separate compatibility-checked list.
-    if (common_.size() == 1) {
-      size_t cb = common_[0].second;
-      scalar_buckets_.reserve(b_end_ - b_begin_);
-      for (size_t r = b_begin_; r < b_end_; ++r) {
-        TermId key = b.Row(r)[cb];
-        if (key != kUnboundTerm) {
-          scalar_buckets_[key].push_back(r);
-        } else {
-          partial_.push_back(r);
-        }
-      }
-      return;
-    }
-    std::vector<TermId> key(common_.size());
-    for (size_t r = b_begin_; r < b_end_; ++r) {
-      const TermId* row = b.Row(r);
-      bool full = true;
-      for (size_t k = 0; k < common_.size(); ++k) {
-        key[k] = row[common_[k].second];
-        if (key[k] == kUnboundTerm) full = false;
-      }
-      if (full) {
-        buckets_[key].push_back(r);
-      } else {
-        partial_.push_back(r);
+      if (j != SIZE_MAX) {
+        common_.emplace_back(i, j);
+        probe_cols_.push_back(i);
+        build_cols_.push_back(j);
       }
     }
+    if (common_.empty() || b.width() == 0 || b_begin_ >= b_end_) return;
+    if (b_end_ > kNone)
+      throw std::length_error("join build side exceeds 2^32 - 1 rows");
+    Build();
   }
 
   bool has_common() const { return !common_.empty(); }
-  const std::vector<std::pair<size_t, size_t>>& common() const {
-    return common_;
-  }
 
-  /// True iff some indexed b-row has an unbound common-variable cell. Those
-  /// rows are emitted after the bucket matches, so sharded builds (which
-  /// would interleave that order) must be avoided when any exist.
-  bool has_partial_rows() const { return !partial_.empty(); }
-
-  /// Calls `fn(rb)` for every b-row compatible with a-row `ra_idx`.
+  /// Calls `fn(rb)` for every b-row compatible with a-row `ra_idx`, in the
+  /// order of the contract above.
   template <typename Fn>
   void ForEachCompatible(size_t ra_idx, Fn&& fn) const {
     if (common_.empty()) {
@@ -100,49 +70,153 @@ class CompatFinder {
       return;
     }
     const TermId* ra = a_.Row(ra_idx);
-    if (common_.size() == 1) {
-      TermId key = ra[common_[0].first];
-      if (key != kUnboundTerm) {
-        auto it = scalar_buckets_.find(key);
-        if (it != scalar_buckets_.end())
-          for (size_t r : it->second) fn(r);
-        for (size_t r : partial_) fn(r);  // unbound b-side: compatible
-      } else {
-        for (size_t r = b_begin_; r < b_end_; ++r) fn(r);
-      }
-      return;
-    }
-    bool full = true;
-    std::vector<TermId> key(common_.size());
-    for (size_t k = 0; k < common_.size(); ++k) {
-      key[k] = ra[common_[k].first];
-      if (key[k] == kUnboundTerm) full = false;
-    }
-    if (full) {
-      auto it = buckets_.find(key);
-      if (it != buckets_.end())
-        for (size_t r : it->second) fn(r);
-      for (size_t r : partial_) {
-        if (internal::RowsCompatible(ra, b_.Row(r), common_)) fn(r);
-      }
-    } else {
-      // Some common variable unbound on the a side: scan everything.
+    if (!KeyBound(ra, probe_cols_)) {
       for (size_t r = b_begin_; r < b_end_; ++r) {
         if (internal::RowsCompatible(ra, b_.Row(r), common_)) fn(r);
       }
+      return;
+    }
+    const uint32_t bucket = Find(Hash(ra, probe_cols_), ra, probe_cols_);
+    if (bucket != kNone) {
+      for (uint32_t i = offsets_[bucket]; i < offsets_[bucket + 1]; ++i)
+        fn(rows_[i]);
+    }
+    // With one key column a partial row's only key cell is unbound, so it
+    // is compatible with every probe.
+    for (uint32_t r : partial_) {
+      if (common_.size() == 1 ||
+          internal::RowsCompatible(ra, b_.Row(r), common_))
+        fn(r);
     }
   }
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// One directory slot: the key's hash and its bucket (kNone when empty).
+  /// The hash of a one-column key is a bijection of the key, so there an
+  /// equal hash means an equal key.
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t bucket = kNone;
+  };
+
+  static bool KeyBound(const TermId* row, const std::vector<size_t>& cols) {
+    for (size_t c : cols)
+      if (row[c] == kUnboundTerm) return false;
+    return true;
+  }
+
+  /// Multiply-xorshift over the key cells; each step is invertible, so one
+  /// cell hashes without collisions.
+  static uint32_t Hash(const TermId* row, const std::vector<size_t>& cols) {
+    uint32_t h = 0;
+    for (size_t c : cols) {
+      h = (h ^ row[c]) * 0x9E3779B1u;
+      h ^= h >> 15;
+    }
+    return h;
+  }
+
+  size_t SlotOf(uint32_t hash) const {
+    return (static_cast<size_t>(hash) * 0x9E3779B97F4A7C15ull) >> shift_;
+  }
+
+  bool SameKey(uint32_t bucket, const TermId* row,
+               const std::vector<size_t>& cols) const {
+    if (cols.size() == 1) return true;
+    const TermId* rep = b_.Row(reps_[bucket]);
+    for (size_t k = 0; k < cols.size(); ++k)
+      if (rep[build_cols_[k]] != row[cols[k]]) return false;
+    return true;
+  }
+
+  /// The bucket of the key of `row` (read through `cols`), or kNone.
+  uint32_t Find(uint32_t hash, const TermId* row,
+                const std::vector<size_t>& cols) const {
+    if (slots_.empty()) return kNone;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = SlotOf(hash);; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.bucket == kNone) return kNone;
+      if (s.hash == hash && SameKey(s.bucket, row, cols)) return s.bucket;
+    }
+  }
+
+  /// Resizes the directory to `capacity` slots (a power of two) and
+  /// reinserts every bucket.
+  void Rehash(size_t capacity) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{});
+    shift_ = 64;
+    for (size_t c = capacity; c > 1; c >>= 1) --shift_;
+    const size_t mask = capacity - 1;
+    for (const Slot& s : old) {
+      if (s.bucket == kNone) continue;
+      size_t i = SlotOf(s.hash);
+      while (slots_[i].bucket != kNone) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  /// Counts the rows of each key's bucket, takes the prefix sum and fills
+  /// rows_ back to front, so each bucket lists its rows ascending.
+  void Build() {
+    const size_t n = b_end_ - b_begin_;
+    std::vector<uint32_t> row_bucket(n, kNone);
+    Rehash(16);
+    for (size_t i = 0; i < n; ++i) {
+      const TermId* row = b_.Row(b_begin_ + i);
+      if (!KeyBound(row, build_cols_)) {
+        partial_.push_back(static_cast<uint32_t>(b_begin_ + i));
+        continue;
+      }
+      const uint32_t hash = Hash(row, build_cols_);
+      const size_t mask = slots_.size() - 1;
+      size_t s = SlotOf(hash);
+      while (slots_[s].bucket != kNone &&
+             !(slots_[s].hash == hash &&
+               SameKey(slots_[s].bucket, row, build_cols_)))
+        s = (s + 1) & mask;
+      uint32_t bucket = slots_[s].bucket;
+      if (bucket == kNone) {
+        bucket = static_cast<uint32_t>(reps_.size());
+        slots_[s] = Slot{hash, bucket};
+        reps_.push_back(static_cast<uint32_t>(b_begin_ + i));
+        offsets_.push_back(0);
+        if (reps_.size() * 4 > slots_.size()) Rehash(slots_.size() * 2);
+      }
+      row_bucket[i] = bucket;
+      ++offsets_[bucket];
+    }
+    // offsets_[k] = one past bucket k's last row; filling back to front
+    // moves it to bucket k's first row.
+    for (size_t k = 1; k < offsets_.size(); ++k) offsets_[k] += offsets_[k - 1];
+    const uint32_t total = offsets_.empty() ? 0 : offsets_.back();
+    rows_.resize(total);
+    for (size_t i = n; i-- > 0;) {
+      if (row_bucket[i] != kNone)
+        rows_[--offsets_[row_bucket[i]]] = static_cast<uint32_t>(b_begin_ + i);
+    }
+    offsets_.push_back(total);
+  }
+
   const BindingSet& a_;
   const BindingSet& b_;
   size_t b_begin_;
   size_t b_end_;
   std::vector<std::pair<size_t, size_t>> common_;
-  std::unordered_map<std::vector<TermId>, std::vector<size_t>, VecHash>
-      buckets_;
-  std::unordered_map<TermId, std::vector<size_t>> scalar_buckets_;
-  std::vector<size_t> partial_;
+  std::vector<size_t> probe_cols_;  ///< common_[k].first
+  std::vector<size_t> build_cols_;  ///< common_[k].second
+  /// Directory: a power-of-two size at most a quarter full, since most
+  /// probes of a selective join miss and a miss ends at the first empty
+  /// slot; sparse slots keep that branch predictable.
+  std::vector<Slot> slots_;
+  int shift_ = 64;                  ///< 64 - log2(slots_.size()).
+  std::vector<uint32_t> reps_;      ///< First row of each bucket.
+  std::vector<uint32_t> offsets_;   ///< Bucket k = rows_[offsets_[k], [k+1]).
+  std::vector<uint32_t> rows_;      ///< Keyed rows, grouped by bucket.
+  std::vector<uint32_t> partial_;   ///< Rows with an unbound key cell.
 };
 
 /// Output schema of a join: a's schema followed by b's extra variables.
@@ -153,19 +227,14 @@ std::vector<VarId> MergedSchema(const BindingSet& a, const BindingSet& b) {
   return schema;
 }
 
-/// Builds the merged row µ1 ∪ µ2 into `out`.
-void MergeRows(const BindingSet& a, size_t ra, const BindingSet& b, size_t rb,
-               const std::vector<std::pair<size_t, size_t>>& common,
-               const std::vector<size_t>& b_extra_cols,
-               std::vector<TermId>* out) {
-  size_t aw = a.width();
-  for (size_t c = 0; c < aw; ++c) (*out)[c] = a.At(ra, c);
-  // A shared variable unbound on the a side takes b's value.
-  for (const auto& [ca, cb] : common) {
-    if ((*out)[ca] == kUnboundTerm) (*out)[ca] = b.At(rb, cb);
+std::vector<std::pair<size_t, size_t>> CommonCols(const BindingSet& a,
+                                                  const BindingSet& b) {
+  std::vector<std::pair<size_t, size_t>> common;
+  for (size_t i = 0; i < a.schema().size(); ++i) {
+    size_t j = b.ColumnOf(a.schema()[i]);
+    if (j != SIZE_MAX) common.emplace_back(i, j);
   }
-  for (size_t i = 0; i < b_extra_cols.size(); ++i)
-    (*out)[aw + i] = b.At(rb, b_extra_cols[i]);
+  return common;
 }
 
 std::vector<size_t> ExtraCols(const BindingSet& a, const BindingSet& b) {
@@ -175,47 +244,54 @@ std::vector<size_t> ExtraCols(const BindingSet& a, const BindingSet& b) {
   return cols;
 }
 
+/// Writes µ1 ∪ µ2 as the next row of `out`: a's row copied whole, its
+/// unbound shared cells filled from b, then b's extra cells.
+void WriteMerged(const TermId* ra, size_t aw, const TermId* rb,
+                 const std::vector<std::pair<size_t, size_t>>& common,
+                 const std::vector<size_t>& extra, RowWriter* out) {
+  TermId* row = out->Next();
+  std::copy(ra, ra + aw, row);
+  for (const auto& [ca, cb] : common)
+    if (row[ca] == kUnboundTerm) row[ca] = rb[cb];
+  TermId* dst = row + aw;
+  for (size_t c : extra) *dst++ = rb[c];
+}
+
+/// Writes µ1 alone as the next row of `out`: a's row, then b's extra
+/// columns unbound.
+void WritePadded(const TermId* ra, size_t aw, RowWriter* out) {
+  TermId* row = out->Next();
+  std::copy(ra, ra + aw, row);
+  std::fill(row + aw, row + out->width(), kUnboundTerm);
+}
+
 }  // namespace
 
 BindingSet Join(const BindingSet& a, const BindingSet& b,
                 const CancelToken* cancel) {
   CancelCheckpoint chk(cancel);
-  std::vector<VarId> schema = MergedSchema(a, b);
-  BindingSet out(std::move(schema));
-  if (a.empty() || b.empty()) return out;
+  RowWriter out(MergedSchema(a, b));
+  if (a.empty() || b.empty()) return out.Finish();
   if (out.width() == 0) {
     // Join of zero-width bags: |a| * |b| empty mappings.
-    out.AppendEmptyMappings(a.size() * b.size());
-    return out;
+    BindingSet empty = out.Finish();
+    empty.AppendEmptyMappings(a.size() * b.size());
+    return empty;
   }
-  std::vector<size_t> extra = ExtraCols(a, b);
-  std::vector<TermId> row(out.width());
-  // Degenerate widths: a zero-width side contributes only multiplicity.
-  if (a.width() == 0) {
+  // Degenerate widths: a zero-width side contributes only multiplicity,
+  // and the other side's rows are the output rows.
+  if (a.width() == 0 || b.width() == 0) {
     for (size_t ra = 0; ra < a.size(); ++ra)
       for (size_t rb = 0; rb < b.size(); ++rb) {
         chk.Poll();
-        for (size_t i = 0; i < extra.size(); ++i) row[i] = b.At(rb, extra[i]);
-        out.AppendRow(row);
+        out.Append(a.width() == 0 ? b.Row(rb) : a.Row(ra));
       }
-    return out;
+    return out.Finish();
   }
-  if (b.width() == 0) {
-    for (size_t ra = 0; ra < a.size(); ++ra)
-      for (size_t rb = 0; rb < b.size(); ++rb) {
-        chk.Poll();
-        for (size_t c = 0; c < a.width(); ++c) row[c] = a.At(ra, c);
-        out.AppendRow(row);
-      }
-    return out;
-  }
-  // Hash the smaller side, probe with the larger: the build cost dominates
-  // (vector-keyed buckets), and either orientation yields the same bag.
-  std::vector<std::pair<size_t, size_t>> common_ab;
-  for (size_t i = 0; i < a.schema().size(); ++i) {
-    size_t j = b.ColumnOf(a.schema()[i]);
-    if (j != SIZE_MAX) common_ab.emplace_back(i, j);
-  }
+  // Hash the smaller side, probe with the larger: either orientation
+  // yields the same bag.
+  const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
+  const std::vector<size_t> extra = ExtraCols(a, b);
   if (a.size() <= b.size()) {
     // Build on a: iterate b, look up compatible a-rows.
     CompatFinder finder(b, a);
@@ -223,8 +299,7 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
       chk.Poll();
       finder.ForEachCompatible(rb, [&](size_t ra) {
         chk.Poll();
-        MergeRows(a, ra, b, rb, common_ab, extra, &row);
-        out.AppendRow(row);
+        WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
       });
     }
   } else {
@@ -233,12 +308,11 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
       chk.Poll();
       finder.ForEachCompatible(ra, [&](size_t rb) {
         chk.Poll();
-        MergeRows(a, ra, b, rb, common_ab, extra, &row);
-        out.AppendRow(row);
+        WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
       });
     }
   }
-  return out;
+  return out.Finish();
 }
 
 BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
@@ -257,12 +331,8 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
   const BindingSet& build = stream_is_b ? a : b;
 
   std::vector<VarId> schema = MergedSchema(a, b);
-  std::vector<std::pair<size_t, size_t>> common_ab;
-  for (size_t i = 0; i < a.schema().size(); ++i) {
-    size_t j = b.ColumnOf(a.schema()[i]);
-    if (j != SIZE_MAX) common_ab.emplace_back(i, j);
-  }
-  std::vector<size_t> extra = ExtraCols(a, b);
+  const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
+  const std::vector<size_t> extra = ExtraCols(a, b);
 
   // Parallel hash build: shard the build side into contiguous row slices,
   // each indexed by its own CompatFinder. A probe walks the shards in slice
@@ -271,13 +341,15 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
   // join-key cell (those are emitted after bucket matches, which sharding
   // would interleave). Detect that case and collapse to one shard.
   bool build_has_unbound = false;
-  for (size_t r = 0; r < build.size() && !build_has_unbound; ++r)
-    for (const auto& [ca, cb] : common_ab) {
-      if (build.At(r, stream_is_b ? ca : cb) == kUnboundTerm) {
+  for (size_t r = 0; r < build.size() && !build_has_unbound; ++r) {
+    const TermId* row = build.Row(r);
+    for (const auto& [ca, cb] : common) {
+      if (row[stream_is_b ? ca : cb] == kUnboundTerm) {
         build_has_unbound = true;
         break;
       }
     }
+  }
   size_t num_shards =
       build_has_unbound
           ? 1
@@ -296,11 +368,10 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
   // sequential probe order.
   size_t num_morsels = spec.MorselCount(stream.size());
   size_t morsel_rows = (stream.size() + num_morsels - 1) / num_morsels;
-  std::vector<BindingSet> outs(num_morsels, BindingSet(schema));
+  std::vector<BindingSet> outs(num_morsels);
   spec.pool->ParallelFor(num_morsels, spec.EffectiveWorkers(), [&](size_t m) {
     CancelCheckpoint chk(cancel);
-    BindingSet& out = outs[m];
-    std::vector<TermId> row(schema.size());
+    RowWriter out(schema);
     size_t begin = m * morsel_rows;
     size_t end = std::min(begin + morsel_rows, stream.size());
     for (size_t si = begin; si < end; ++si) {
@@ -310,11 +381,11 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
           chk.Poll();
           size_t ra = stream_is_b ? bi : si;
           size_t rb = stream_is_b ? si : bi;
-          MergeRows(a, ra, b, rb, common_ab, extra, &row);
-          out.AppendRow(row);
+          WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
         });
       }
     }
+    outs[m] = out.Finish();
   });
   if (morsels != nullptr)
     *morsels += num_morsels + (num_shards > 1 ? num_shards : 0);
@@ -329,104 +400,80 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
 
 BindingSet UnionBag(const BindingSet& a, const BindingSet& b) {
   std::vector<VarId> schema = MergedSchema(a, b);
-  BindingSet out(std::move(schema));
-  if (out.width() == 0) {
-    out.AppendEmptyMappings(a.size() + b.size());
-    return out;
-  }
+  std::vector<size_t> b_cols(schema.size());
+  for (size_t c = 0; c < schema.size(); ++c) b_cols[c] = b.ColumnOf(schema[c]);
+  RowWriter out(std::move(schema));
   out.Reserve(a.size() + b.size());
-  std::vector<TermId> row(out.width(), kUnboundTerm);
-  std::vector<size_t> a_cols(out.width(), SIZE_MAX), b_cols(out.width(), SIZE_MAX);
-  for (size_t c = 0; c < out.width(); ++c) {
-    a_cols[c] = a.ColumnOf(out.schema()[c]);
-    b_cols[c] = b.ColumnOf(out.schema()[c]);
-  }
-  for (size_t r = 0; r < a.size(); ++r) {
-    for (size_t c = 0; c < out.width(); ++c)
-      row[c] = a_cols[c] == SIZE_MAX ? kUnboundTerm : a.At(r, a_cols[c]);
-    out.AppendRow(row);
-  }
+  // a's columns lead the union schema: copy each a-row whole and leave b's
+  // extra columns unbound.
+  for (size_t r = 0; r < a.size(); ++r) WritePadded(a.Row(r), a.width(), &out);
   for (size_t r = 0; r < b.size(); ++r) {
+    const TermId* rb = b.Row(r);
+    TermId* row = out.Next();
     for (size_t c = 0; c < out.width(); ++c)
-      row[c] = b_cols[c] == SIZE_MAX ? kUnboundTerm : b.At(r, b_cols[c]);
-    out.AppendRow(row);
+      row[c] = b_cols[c] == SIZE_MAX ? kUnboundTerm : rb[b_cols[c]];
   }
-  return out;
+  return out.Finish();
 }
 
 BindingSet Minus(const BindingSet& a, const BindingSet& b) {
-  BindingSet out(a.schema());
-  if (a.empty()) return out;
   if (b.empty()) return a;
-  std::vector<TermId> row(a.width());
+  RowWriter out(a.schema());
+  if (a.empty()) return out.Finish();
   if (a.size() <= b.size()) {
     // Build on a: mark a-rows that have a compatible b-row.
     CompatFinder finder(b, a);
-    if (a.width() == 0 || b.width() == 0 || !finder.has_common()) return out;
+    if (a.width() == 0 || b.width() == 0 || !finder.has_common())
+      return out.Finish();
     std::vector<bool> matched(a.size(), false);
     for (size_t rb = 0; rb < b.size(); ++rb)
       finder.ForEachCompatible(rb, [&](size_t ra) { matched[ra] = true; });
-    for (size_t ra = 0; ra < a.size(); ++ra) {
-      if (!matched[ra]) {
-        row.assign(a.Row(ra), a.Row(ra) + a.width());
-        out.AppendRow(row);
-      }
-    }
-    return out;
+    for (size_t ra = 0; ra < a.size(); ++ra)
+      if (!matched[ra]) out.Append(a.Row(ra));
+    return out.Finish();
   }
   CompatFinder finder(a, b);
   if (a.width() == 0 || b.width() == 0 || !finder.has_common()) {
     // Every µ2 is compatible with every µ1 (no shared bound variables can
     // disagree), so the difference is empty when b is non-empty.
-    return out;
+    return out.Finish();
   }
   for (size_t ra = 0; ra < a.size(); ++ra) {
     bool any = false;
     finder.ForEachCompatible(ra, [&](size_t) { any = true; });
-    if (!any) {
-      row.assign(a.Row(ra), a.Row(ra) + a.width());
-      out.AppendRow(row);
-    }
+    if (!any) out.Append(a.Row(ra));
   }
-  return out;
+  return out.Finish();
 }
 
 BindingSet LeftOuterJoin(const BindingSet& a, const BindingSet& b,
                          const CancelToken* cancel) {
   CancelCheckpoint chk(cancel);
-  std::vector<VarId> schema = MergedSchema(a, b);
-  BindingSet out(std::move(schema));
-  if (a.empty()) return out;
+  RowWriter out(MergedSchema(a, b));
+  if (a.empty()) return out.Finish();
   if (out.width() == 0) {
     // Zero-width: each µ1 joins all µ2 if any exist, else survives alone.
-    out.AppendEmptyMappings(b.empty() ? a.size() : a.size() * b.size());
-    return out;
+    BindingSet empty = out.Finish();
+    empty.AppendEmptyMappings(b.empty() ? a.size() : a.size() * b.size());
+    return empty;
   }
-  std::vector<size_t> extra = ExtraCols(a, b);
-  std::vector<TermId> row(out.width());
-  auto pad_a_row = [&](size_t ra) {
-    for (size_t c = 0; c < out.width(); ++c)
-      row[c] = c < a.width() ? a.At(ra, c) : kUnboundTerm;
-    out.AppendRow(row);
-  };
+  out.Reserve(a.size());  // every µ1 yields at least one row
+  const size_t aw = a.width();
   if (b.empty()) {
-    for (size_t ra = 0; ra < a.size(); ++ra) pad_a_row(ra);
-    return out;
+    for (size_t ra = 0; ra < a.size(); ++ra) WritePadded(a.Row(ra), aw, &out);
+    return out.Finish();
   }
   if (b.width() == 0) {
     // b holds empty mappings: every one is compatible; merge is µ1 itself.
     for (size_t ra = 0; ra < a.size(); ++ra)
       for (size_t k = 0; k < b.size(); ++k) {
         chk.Poll();
-        pad_a_row(ra);
+        WritePadded(a.Row(ra), aw, &out);
       }
-    return out;
+    return out.Finish();
   }
-  std::vector<std::pair<size_t, size_t>> common_ab;
-  for (size_t i = 0; i < a.schema().size(); ++i) {
-    size_t j = b.ColumnOf(a.schema()[i]);
-    if (j != SIZE_MAX) common_ab.emplace_back(i, j);
-  }
+  const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
+  const std::vector<size_t> extra = ExtraCols(a, b);
   if (a.size() <= b.size()) {
     // Build on a, probe with b; track which a-rows matched for padding.
     CompatFinder finder(b, a);
@@ -436,27 +483,24 @@ BindingSet LeftOuterJoin(const BindingSet& a, const BindingSet& b,
       finder.ForEachCompatible(rb, [&](size_t ra) {
         chk.Poll();
         matched[ra] = true;
-        MergeRows(a, ra, b, rb, common_ab, extra, &row);
-        out.AppendRow(row);
+        WriteMerged(a.Row(ra), aw, b.Row(rb), common, extra, &out);
       });
     }
     for (size_t ra = 0; ra < a.size(); ++ra)
-      if (!matched[ra]) pad_a_row(ra);
-    return out;
+      if (!matched[ra]) WritePadded(a.Row(ra), aw, &out);
+    return out.Finish();
   }
   CompatFinder finder(a, b);
   for (size_t ra = 0; ra < a.size(); ++ra) {
     chk.Poll();
-    size_t matches = 0;
+    const size_t before = out.rows();
     finder.ForEachCompatible(ra, [&](size_t rb) {
       chk.Poll();
-      ++matches;
-      MergeRows(a, ra, b, rb, common_ab, extra, &row);
-      out.AppendRow(row);
+      WriteMerged(a.Row(ra), aw, b.Row(rb), common, extra, &out);
     });
-    if (matches == 0) pad_a_row(ra);
+    if (out.rows() == before) WritePadded(a.Row(ra), aw, &out);
   }
-  return out;
+  return out.Finish();
 }
 
 namespace {
@@ -542,19 +586,10 @@ Ternary EvalFilter(const FilterExpr& f, const BindingSet& bs, size_t row,
 
 BindingSet ApplyFilter(const BindingSet& a, const FilterExpr& filter,
                        const Dictionary& dict) {
-  BindingSet out(a.schema());
-  std::vector<TermId> row(a.width());
-  for (size_t r = 0; r < a.size(); ++r) {
-    if (EvalFilter(filter, a, r, dict) == Ternary::kTrue) {
-      if (a.width() == 0) {
-        out.AppendEmptyMappings(1);
-      } else {
-        row.assign(a.Row(r), a.Row(r) + a.width());
-        out.AppendRow(row);
-      }
-    }
-  }
-  return out;
+  RowWriter out(a.schema());
+  for (size_t r = 0; r < a.size(); ++r)
+    if (EvalFilter(filter, a, r, dict) == Ternary::kTrue) out.Append(a.Row(r));
+  return out.Finish();
 }
 
 }  // namespace sparqluo

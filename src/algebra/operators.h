@@ -4,6 +4,17 @@
 // domain-aware: variables absent from dom(µ) — unbound cells — are
 // compatible with anything, which is what makes OPTIONAL-produced partial
 // mappings join correctly.
+//
+// Join, ParallelJoin, LeftOuterJoin and Minus build one flat CSR table
+// over the smaller side: a directory from each distinct join key (hashed
+// in place from the row cells) to a bucket, and one row-index array
+// holding every bucket's rows in build-row order. Build rows with an
+// unbound key cell are listed apart. A probe row with a bound key meets
+// its bucket's rows ascending, then the compatible unbound-key rows
+// ascending; a probe row with an unbound key cell meets every compatible
+// build row ascending. That order fixes the output row order. Output rows
+// are written whole into the result's flat buffer (BindingSet::AppendRow
+// from a raw row): no per-row or per-key heap containers.
 #pragma once
 
 #include "algebra/binding_set.h"

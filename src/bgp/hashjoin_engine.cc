@@ -1,6 +1,7 @@
 #include "bgp/hashjoin_engine.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "algebra/operators.h"
 #include "obs/trace.h"
@@ -19,6 +20,10 @@ void ScanRangeInto(const TripleStore::MatchedRange& range,
                    const CandidateMap* cands, BgpEvalCounters* counters,
                    CancelCheckpoint* chk, BindingSet* out) {
   std::vector<TermId> row(schema.size());
+  std::vector<std::optional<CandidateCursor>> in_cands(schema.size());
+  for (size_t i = 0; i < schema.size(); ++i)
+    if (const CandidateMap::Set* cs = cands ? cands->Get(schema[i]) : nullptr)
+      in_cands[i].emplace(*cs);
   TripleStore::ScanMatched(range, [&](const Triple& tr) {
     if (chk != nullptr) chk->Poll();
     // Repeated-variable consistency.
@@ -28,16 +33,13 @@ void ScanRangeInto(const TripleStore::MatchedRange& range,
     for (size_t i = 0; i < schema.size(); ++i) {
       VarId v = schema[i];
       TermId val = v == r.sv ? tr.s : (v == r.pv ? tr.p : tr.o);
-      if (cands != nullptr) {
-        const auto* cs = cands->Get(v);
-        if (cs != nullptr && cs->count(val) == 0) {
-          if (counters) ++counters->candidates_pruned;
-          return true;
-        }
+      if (in_cands[i] && !in_cands[i]->Contains(val)) {
+        if (counters) ++counters->candidates_pruned;
+        return true;
       }
       row[i] = val;
     }
-    out->AppendRow(row);
+    out->AppendRow(row.data());
     return true;
   });
 }

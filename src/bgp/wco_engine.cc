@@ -29,6 +29,7 @@
 #include "bgp/wco_engine.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/trace.h"
 
@@ -358,24 +359,22 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
 }
 
 /// The projection of edge `e` onto its variable's end, restricted to
-/// `cands`: the sorted candidates with at least one matching triple, one
-/// index probe each. Equals projection ∩ candidates without enumerating the
-/// projection.
+/// `cands`: the candidates (ascending) with at least one matching triple,
+/// one index probe each. Equals projection ∩ candidates without
+/// enumerating the projection.
 std::vector<TermId> SeedFromCandidates(const TripleStore& store,
                                        const StepEdge& e,
                                        const CandidateMap::Set& cands,
                                        BgpEvalCounters* counters,
                                        TripleStore::ProbeHint* hint) {
-  std::vector<TermId> kept(cands.begin(), cands.end());
-  std::sort(kept.begin(), kept.end());
+  std::vector<TermId> kept;
   TriplePatternIds q;
   q.p = e.p;
-  auto absent = [&](TermId c) {
+  for (TermId c : cands) {
     (e.v_is_subj ? q.s : q.o) = c;
     if (counters) ++counters->index_probes;
-    return store.Count(q, hint) == 0;
-  };
-  kept.erase(std::remove_if(kept.begin(), kept.end(), absent), kept.end());
+    if (store.Count(q, hint) > 0) kept.push_back(c);
+  }
   return kept;
 }
 
@@ -394,7 +393,10 @@ FlatRows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
   if (recipe.seed_from_candidates && rows.count > 0)
     seeded = SeedFromCandidates(store, recipe.edges.front(), *recipe.cands,
                                 counters, hint);
-  std::vector<TermId> scan[2], meet[2];
+  // A candidate-seeded list holds only candidates already; any other list
+  // is intersected with the candidate set.
+  const bool filter = recipe.cands != nullptr && !recipe.seed_from_candidates;
+  std::vector<TermId> scan[2], meet[2], kept;
   for (size_t i = 0; i < rows.count; ++i) {
     chk.Poll();
     const TermId* row = rows.Row(i);
@@ -413,27 +415,19 @@ FlatRows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
         if (list.size == 0) break;
       }
     }
-    if (recipe.cands == nullptr) {
-      const size_t at = out.cells.size();
-      out.cells.resize(at + list.size * out.width);
-      TermId* dst = out.cells.data() + at;
-      for (size_t j = 0; j < list.size; ++j, dst += out.width) {
-        std::copy(row, row + width, dst);
-        dst[width] = list[j];
-      }
-      out.count += list.size;
-      continue;
+    if (filter && list.size > 0) {
+      const size_t before = list.size;
+      list = Intersect(list, IdList::Of(*recipe.cands), &kept);
+      if (counters) counters->candidates_pruned += before - list.size;
     }
-    for (size_t j = 0; j < list.size; ++j) {
-      const TermId val = list[j];
-      if (recipe.cands->count(val) == 0) {
-        if (counters) ++counters->candidates_pruned;
-        continue;
-      }
-      out.cells.insert(out.cells.end(), row, row + width);
-      out.cells.push_back(val);
-      ++out.count;
+    const size_t at = out.cells.size();
+    out.cells.resize(at + list.size * out.width);
+    TermId* dst = out.cells.data() + at;
+    for (size_t j = 0; j < list.size; ++j, dst += out.width) {
+      std::copy(row, row + width, dst);
+      dst[width] = list[j];
     }
+    out.count += list.size;
   }
   if (counters) counters->rows_materialized += out.count;
   return out;
@@ -466,9 +460,10 @@ FlatRows CompleteRows(const TripleStore& store, const WcoPlan& plan,
     };
     const size_t s_col = col_of(r.sv), p_col = col_of(r.pv),
                  o_col = col_of(r.ov);
-    std::vector<const CandidateMap::Set*> new_cands;
-    for (VarId v : new_vars)
-      new_cands.push_back(cands != nullptr ? cands->Get(v) : nullptr);
+    std::vector<std::optional<CandidateCursor>> new_cands(new_vars.size());
+    for (size_t k = 0; k < new_vars.size(); ++k)
+      if (const CandidateMap::Set* cs = cands ? cands->Get(new_vars[k]) : nullptr)
+        new_cands[k].emplace(*cs);
     FlatRows next;
     next.width = rows.width + new_vars.size();
     TermId vals[3];
@@ -489,7 +484,7 @@ FlatRows CompleteRows(const TripleStore& store, const WcoPlan& plan,
         for (size_t k = 0; k < new_vars.size(); ++k) {
           const VarId v = new_vars[k];
           vals[k] = v == r.sv ? t.s : (v == r.pv ? t.p : t.o);
-          if (new_cands[k] != nullptr && new_cands[k]->count(vals[k]) == 0) {
+          if (new_cands[k] && !new_cands[k]->Contains(vals[k])) {
             if (counters) ++counters->candidates_pruned;
             return true;
           }
@@ -515,15 +510,14 @@ FlatRows CompleteRows(const TripleStore& store, const WcoPlan& plan,
 /// what makes the parallel path bit-identical to the sequential one.
 BindingSet EmitRows(const std::vector<FlatRows>& parts, const WcoPlan& plan,
                     const std::vector<VarId>& all_vars) {
-  BindingSet result(all_vars);
+  RowWriter result(all_vars);
   std::vector<size_t> out_cols;
   out_cols.reserve(all_vars.size());
   for (VarId v : all_vars) out_cols.push_back(IndexOf(plan.final_vars, v));
-  std::vector<TermId> out_row(all_vars.size());
   auto emit = [&](const TermId* row) {
+    TermId* out_row = result.Next();
     for (size_t i = 0; i < out_cols.size(); ++i)
       out_row[i] = out_cols[i] == SIZE_MAX ? kUnboundTerm : row[out_cols[i]];
-    result.AppendRow(out_row.data());
   };
 
   size_t total = 0;
@@ -532,7 +526,7 @@ BindingSet EmitRows(const std::vector<FlatRows>& parts, const WcoPlan& plan,
     result.Reserve(total);
     for (const FlatRows& part : parts)
       for (size_t i = 0; i < part.count; ++i) emit(part.Row(i));
-    return result;
+    return result.Finish();
   }
   std::vector<const TermId*> order;
   order.reserve(total);
@@ -549,7 +543,7 @@ BindingSet EmitRows(const std::vector<FlatRows>& parts, const WcoPlan& plan,
   order.erase(std::unique(order.begin(), order.end(), same), order.end());
   result.Reserve(order.size());
   for (const TermId* row : order) emit(row);
-  return result;
+  return result.Finish();
 }
 
 /// True when `plan` is one constant-predicate edge with two distinct
@@ -586,6 +580,9 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
   const CandidateMap::Set* cs_first = cand_set(first);
   const CandidateMap::Set* cs_second =
       two_vars ? cand_set(plan.var_order[1]) : nullptr;
+  std::optional<CandidateCursor> in_first, in_second;
+  if (cs_first != nullptr) in_first.emplace(*cs_first);
+  if (cs_second != nullptr) in_second.emplace(*cs_second);
 
   TriplePatternIds q;
   q.p = r.p;
@@ -596,7 +593,7 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
   std::vector<uint64_t> keys;  // rows packed as (first << 32) | second
   uint64_t pruned = 0, probes = 1;
   auto keep = [&](TermId a, TermId b) {
-    if (cs_second != nullptr && cs_second->count(b) == 0) {
+    if (in_second && !in_second->Contains(b)) {
       ++pruned;
       return;
     }
@@ -604,11 +601,9 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
   };
 
   if (two_vars && cs_first != nullptr && cs_first->size() < range.size()) {
-    std::vector<TermId> seeds(cs_first->begin(), cs_first->end());
-    std::sort(seeds.begin(), seeds.end());
     uint64_t matched_seeds = 0;
     TripleStore::ProbeHint hint;
-    for (TermId seed : seeds) {
+    for (TermId seed : *cs_first) {
       TriplePatternIds cq = q;
       (subject_first ? cq.s : cq.o) = seed;
       const TripleStore::MatchedRange seed_range = store.Match(cq, &hint);
@@ -633,7 +628,7 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
       chk.Poll();
       if (!two_vars) {
         const TermId v = pairs[i].third;  // s of POS (p, o), o of SPO (s, p)
-        if (cs_first != nullptr && cs_first->count(v) == 0) {
+        if (in_first && !in_first->Contains(v)) {
           ++pruned;
         } else {
           keys.push_back(v);
@@ -642,7 +637,7 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
       }
       const TermId o = pairs[i].second, s = pairs[i].third;  // POS (o, s)
       const TermId a = subject_first ? s : o;
-      if (cs_first != nullptr && cs_first->count(a) == 0) {
+      if (in_first && !in_first->Contains(a)) {
         ++pruned;
         continue;
       }
@@ -651,26 +646,26 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
     if (two_vars && subject_first) std::sort(keys.begin(), keys.end());
   }
 
-  BindingSet result(all_vars);
+  // all_vars holds exactly var_order's one or two variables.
+  RowWriter result(all_vars);
   result.Reserve(keys.size());
-  std::vector<TermId> row(all_vars.size());
   const size_t col_first = IndexOf(all_vars, first);
   const size_t col_second = two_vars ? IndexOf(all_vars, plan.var_order[1]) : 0;
   for (uint64_t key : keys) {
+    TermId* row = result.Next();
     if (two_vars) {
       row[col_first] = static_cast<TermId>(key >> 32);
       row[col_second] = static_cast<TermId>(key);
     } else {
       row[col_first] = static_cast<TermId>(key);
     }
-    result.AppendRow(row);
   }
   if (counters) {
     counters->index_probes += probes;
     counters->candidates_pruned += pruned;
-    counters->rows_materialized += result.size();
+    counters->rows_materialized += result.rows();
   }
-  return result;
+  return result.Finish();
 }
 
 

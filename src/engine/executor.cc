@@ -200,27 +200,16 @@ class TreeEvaluator {
   /// Converts the current bindings into per-variable candidate sets for the
   /// variables shared with `bgp`. The threshold gates each variable's
   /// DISTINCT value count (a large binding table over few distinct values
-  /// is still an excellent pruning source); collection aborts early once a
-  /// set exceeds it. A variable left unbound by any mapping is
-  /// unconstrained and gets no set.
+  /// is still an excellent pruning source), whatever its row count. A
+  /// variable left unbound by any mapping is unconstrained and gets no set.
   void BuildCandidates(const BindingSet& source, const Bgp& bgp,
                        double threshold, CandidateMap* out) const {
-    std::vector<VarId> bgp_vars = bgp.Variables();
-    for (VarId v : bgp_vars) {
+    for (VarId v : bgp.Variables()) {
       size_t col = source.ColumnOf(v);
       if (col == SIZE_MAX) continue;
       CandidateMap::Set values;
-      bool usable = true;
-      for (size_t r = 0; r < source.size(); ++r) {
-        TermId val = source.At(r, col);
-        if (val == kUnboundTerm ||
-            static_cast<double>(values.size()) >= threshold) {
-          usable = false;
-          break;
-        }
-        values.insert(val);
-      }
-      if (usable) out->Set_(v, std::move(values));
+      if (BuildCandidateSet(source, col, threshold, &values))
+        out->Set_(v, std::move(values));
     }
   }
 
@@ -334,11 +323,7 @@ BindingSet Executor::OrderRows(const BindingSet& rows,
   });
   BindingSet out(rows.schema());
   out.Reserve(rows.size());
-  std::vector<TermId> row(rows.width());
-  for (size_t i : order) {
-    row.assign(rows.Row(i), rows.Row(i) + rows.width());
-    out.AppendRow(row);
-  }
+  for (size_t i : order) out.AppendRow(rows.Row(i));
   return out;
 }
 
@@ -352,12 +337,8 @@ BindingSet Executor::Slice(const BindingSet& rows, size_t offset,
     out.AppendEmptyMappings(end);
     return out;
   }
-  std::vector<TermId> row(rows.width());
-  for (size_t i = 0; i < end; ++i) {
-    size_t r = offset + i;
-    row.assign(rows.Row(r), rows.Row(r) + rows.width());
-    out.AppendRow(row);
-  }
+  out.Reserve(end);
+  for (size_t i = 0; i < end; ++i) out.AppendRow(rows.Row(offset + i));
   return out;
 }
 

@@ -135,7 +135,7 @@ class WcoPropertyTest : public ::testing::Test {
       CandidateMap::Set set;
       const size_t n = rng->Range(0, 10);
       for (size_t i = 0; i < n; ++i)
-        set.insert(static_cast<TermId>(rng->Uniform(ids)));
+        set.push_back(static_cast<TermId>(rng->Uniform(ids)));
       cands.Set_(v, std::move(set));
     }
     return cands;
