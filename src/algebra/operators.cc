@@ -70,13 +70,14 @@ class CompatFinder {
       return;
     }
     const TermId* ra = a_.Row(ra_idx);
-    if (!KeyBound(ra, probe_cols_)) {
+    uint32_t hash;
+    if (!HashKey(ra, probe_cols_, &hash)) {
       for (size_t r = b_begin_; r < b_end_; ++r) {
         if (internal::RowsCompatible(ra, b_.Row(r), common_)) fn(r);
       }
       return;
     }
-    const uint32_t bucket = Find(Hash(ra, probe_cols_), ra, probe_cols_);
+    const uint32_t bucket = Find(hash, ra, probe_cols_);
     if (bucket != kNone) {
       for (uint32_t i = offsets_[bucket]; i < offsets_[bucket + 1]; ++i)
         fn(rows_[i]);
@@ -101,21 +102,21 @@ class CompatFinder {
     uint32_t bucket = kNone;
   };
 
-  static bool KeyBound(const TermId* row, const std::vector<size_t>& cols) {
-    for (size_t c : cols)
-      if (row[c] == kUnboundTerm) return false;
-    return true;
-  }
-
-  /// Multiply-xorshift over the key cells; each step is invertible, so one
-  /// cell hashes without collisions.
-  static uint32_t Hash(const TermId* row, const std::vector<size_t>& cols) {
+  /// Hashes the key cells of `row` (read through `cols`) into `*hash`;
+  /// false when one of them is unbound. Multiply-xorshift: each step is
+  /// invertible, so a one-cell key hashes without collisions.
+  static bool HashKey(const TermId* row, const std::vector<size_t>& cols,
+                      uint32_t* hash) {
     uint32_t h = 0;
+    bool bound = true;
     for (size_t c : cols) {
-      h = (h ^ row[c]) * 0x9E3779B1u;
+      const TermId v = row[c];
+      bound &= v != kUnboundTerm;
+      h = (h ^ v) * 0x9E3779B1u;
       h ^= h >> 15;
     }
-    return h;
+    *hash = h;
+    return bound;
   }
 
   size_t SlotOf(uint32_t hash) const {
@@ -167,11 +168,11 @@ class CompatFinder {
     Rehash(16);
     for (size_t i = 0; i < n; ++i) {
       const TermId* row = b_.Row(b_begin_ + i);
-      if (!KeyBound(row, build_cols_)) {
+      uint32_t hash;
+      if (!HashKey(row, build_cols_, &hash)) {
         partial_.push_back(static_cast<uint32_t>(b_begin_ + i));
         continue;
       }
-      const uint32_t hash = Hash(row, build_cols_);
       const size_t mask = slots_.size() - 1;
       size_t s = SlotOf(hash);
       while (slots_[s].bucket != kNone &&
@@ -292,6 +293,8 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
   // yields the same bag.
   const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
   const std::vector<size_t> extra = ExtraCols(a, b);
+  // A cross product has at least as many rows as its larger side.
+  if (common.empty()) out.Reserve(std::max(a.size(), b.size()));
   if (a.size() <= b.size()) {
     // Build on a: iterate b, look up compatible a-rows.
     CompatFinder finder(b, a);

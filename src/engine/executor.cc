@@ -321,25 +321,21 @@ BindingSet Executor::OrderRows(const BindingSet& rows,
     }
     return false;
   });
-  BindingSet out(rows.schema());
+  RowWriter out(rows.schema());
   out.Reserve(rows.size());
-  for (size_t i : order) out.AppendRow(rows.Row(i));
-  return out;
+  for (size_t i : order) out.Append(rows.Row(i));
+  return out.Finish();
 }
 
 BindingSet Executor::Slice(const BindingSet& rows, size_t offset,
                            size_t limit) {
-  BindingSet out(rows.schema());
-  if (offset >= rows.size()) return out;
+  RowWriter out(rows.schema());
+  if (offset >= rows.size()) return out.Finish();
   size_t end = rows.size() - offset;
   if (limit != SIZE_MAX) end = std::min(end, limit);
-  if (rows.width() == 0) {
-    out.AppendEmptyMappings(end);
-    return out;
-  }
   out.Reserve(end);
-  for (size_t i = 0; i < end; ++i) out.AppendRow(rows.Row(offset + i));
-  return out;
+  for (size_t i = 0; i < end; ++i) out.Append(rows.Row(offset + i));
+  return out.Finish();
 }
 
 Result<BindingSet> Executor::Execute(const Query& query,
