@@ -99,10 +99,12 @@ class BindingSet {
 };
 
 /// Builds a BindingSet row by row, each row's cells written in place:
-/// Next() hands out the next row's width() cells from a buffer that grows
-/// geometrically, and Finish() moves the buffer into the result. Operators
-/// emitting many narrow rows use it because BindingSet::AppendRow pays a
-/// vector range insert per row, several times the cost of the writes.
+/// Next() hands out the next row's width() cells, and Finish() moves the
+/// buffer into the result. Operators emitting many narrow rows use it
+/// because BindingSet::AppendRow pays a vector range insert per row,
+/// several times the cost of the writes. Capacity grows geometrically, but
+/// the buffer is sized (zero-filled) only a chunk ahead of the rows
+/// written, so reserved memory no row reaches is never touched.
 class RowWriter {
  public:
   explicit RowWriter(std::vector<VarId> schema) : out_(std::move(schema)) {}
@@ -110,16 +112,13 @@ class RowWriter {
   size_t width() const { return out_.width(); }
 
   /// Makes room for `rows` rows in all.
-  void Reserve(size_t rows) {
-    if (rows * width() > cells_.size()) cells_.resize(rows * width());
-  }
+  void Reserve(size_t rows) { cells_.reserve(rows * width()); }
 
   /// The next row's width() cells, every one to be written by the caller
   /// (not dereferenceable when width() is 0: the row then only counts).
   TermId* Next() {
     ++rows_;
-    if (used_ + width() > cells_.size())
-      cells_.resize(std::max(2 * cells_.size(), used_ + 64 * width()));
+    if (used_ + width() > cells_.size()) Grow();
     TermId* row = cells_.data() + used_;
     used_ += width();
     return row;
@@ -139,9 +138,18 @@ class RowWriter {
   }
 
  private:
+  static constexpr size_t kChunkCells = 4096;
+
+  void Grow() {
+    const size_t need = used_ + width();
+    if (need > cells_.capacity())
+      cells_.reserve(std::max(2 * cells_.capacity(), need + kChunkCells));
+    cells_.resize(std::min(cells_.capacity(), need + kChunkCells));
+  }
+
   BindingSet out_;
-  std::vector<TermId> cells_;
-  size_t used_ = 0;  ///< Cells written: rows_ * width().
+  std::vector<TermId> cells_;  ///< Cells [0, used_) are written rows.
+  size_t used_ = 0;            ///< rows_ * width().
   size_t rows_ = 0;
 };
 
