@@ -61,7 +61,10 @@ bool BuildCandidateSet(const BindingSet& source, size_t col, double threshold,
       }
     }
   }
-  std::sort(out->begin(), out->end());
+  // Values arrive in first-seen order, already ascending when the column
+  // is sorted (WCO emits rows in its variable order).
+  if (!std::is_sorted(out->begin(), out->end()))
+    std::sort(out->begin(), out->end());
   return true;
 }
 
