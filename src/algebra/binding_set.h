@@ -103,7 +103,7 @@ class BindingSet {
 /// buffer into the result. Operators emitting many narrow rows use it
 /// because BindingSet::AppendRow pays a vector range insert per row,
 /// several times the cost of the writes. Capacity grows geometrically, but
-/// the buffer is sized (zero-filled) only a chunk ahead of the rows
+/// the buffer is sized (zero-filled) at most a chunk ahead of the rows
 /// written, so reserved memory no row reaches is never touched.
 class RowWriter {
  public:
@@ -140,11 +140,14 @@ class RowWriter {
  private:
   static constexpr size_t kChunkCells = 4096;
 
+  /// Doubles the capacity when full and the written-ahead size up to a
+  /// chunk at a time, so a small result stays a small allocation.
   void Grow() {
     const size_t need = used_ + width();
     if (need > cells_.capacity())
-      cells_.reserve(std::max(2 * cells_.capacity(), need + kChunkCells));
-    cells_.resize(std::min(cells_.capacity(), need + kChunkCells));
+      cells_.reserve(std::max({2 * cells_.capacity(), need, 16 * width()}));
+    cells_.resize(std::min(cells_.capacity(),
+                           need + std::min(cells_.size(), kChunkCells)));
   }
 
   BindingSet out_;
