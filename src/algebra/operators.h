@@ -12,9 +12,9 @@
 // unbound key cell are listed apart. A probe row with a bound key meets
 // its bucket's rows ascending, then the compatible unbound-key rows
 // ascending; a probe row with an unbound key cell meets every compatible
-// build row ascending. That order fixes the output row order. Output rows
-// are written whole into the result's flat buffer (BindingSet::AppendRow
-// from a raw row): no per-row or per-key heap containers.
+// build row ascending. That order fixes the output row order. Every
+// operator writes its output rows in place through a RowWriter: no
+// per-row or per-key heap containers.
 #pragma once
 
 #include "algebra/binding_set.h"
