@@ -36,17 +36,17 @@ void BindingSet::Append(const BindingSet& other) {
 }
 
 BindingSet BindingSet::Project(const std::vector<VarId>& vars) const {
-  BindingSet out(vars);
   std::vector<size_t> cols;
   cols.reserve(vars.size());
   for (VarId v : vars) cols.push_back(ColumnOf(v));
-  std::vector<TermId> row(vars.size());
+  RowWriter out(vars);
+  out.Reserve(size());
   for (size_t r = 0; r < size(); ++r) {
+    TermId* row = out.Next();
     for (size_t i = 0; i < cols.size(); ++i)
       row[i] = cols[i] == SIZE_MAX ? kUnboundTerm : At(r, cols[i]);
-    out.AppendRow(row);
   }
-  return out;
+  return out.Finish();
 }
 
 BindingSet BindingSet::Distinct() const {

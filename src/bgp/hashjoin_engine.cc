@@ -10,15 +10,17 @@ namespace sparqluo {
 
 namespace {
 
-/// Emits the rows of `range` matching the resolved pattern `r` into `out`
-/// (whose schema is the pattern's variables), applying repeated-variable
+/// The rows of `range` matching the resolved pattern `r`, over `schema`
+/// (the pattern's variables), after repeated-variable
 /// consistency and candidate-set filtering. Shared by the sequential scan
 /// and by each morsel of the parallel scan — morsels over consecutive
 /// slices of one matched range concatenate to the sequential scan's rows.
-void ScanRangeInto(const TripleStore::MatchedRange& range,
-                   const ResolvedPattern& r, const std::vector<VarId>& schema,
-                   const CandidateMap* cands, BgpEvalCounters* counters,
-                   CancelCheckpoint* chk, BindingSet* out) {
+BindingSet ScanRange(const TripleStore::MatchedRange& range,
+                     const ResolvedPattern& r, const std::vector<VarId>& schema,
+                     const CandidateMap* cands, BgpEvalCounters* counters,
+                     CancelCheckpoint* chk) {
+  RowWriter out(schema);
+  out.Reserve(range.size());
   std::vector<TermId> row(schema.size());
   std::vector<std::optional<CandidateCursor>> in_cands(schema.size());
   for (size_t i = 0; i < schema.size(); ++i)
@@ -39,9 +41,10 @@ void ScanRangeInto(const TripleStore::MatchedRange& range,
       }
       row[i] = val;
     }
-    out->AppendRow(row.data());
+    out.Append(row.data());
     return true;
   });
+  return out.Finish();
 }
 
 }  // namespace
@@ -51,15 +54,14 @@ BindingSet HashJoinEngine::ScanPattern(const TriplePattern& t,
                                        BgpEvalCounters* counters,
                                        CancelCheckpoint* chk) const {
   std::vector<VarId> schema = t.Variables();
-  BindingSet out(schema);
   ResolvedPattern r = Resolve(t, dict_);
-  if (r.missing_const) return out;
+  if (r.missing_const) return BindingSet(schema);
   TriplePatternIds q;
   q.s = r.sv == kInvalidVarId ? r.s : kInvalidTermId;
   q.p = r.pv == kInvalidVarId ? r.p : kInvalidTermId;
   q.o = r.ov == kInvalidVarId ? r.o : kInvalidTermId;
   if (counters) ++counters->index_probes;
-  ScanRangeInto(store_.Match(q), r, schema, cands, counters, chk, &out);
+  BindingSet out = ScanRange(store_.Match(q), r, schema, cands, counters, chk);
   if (counters) counters->rows_materialized += out.size();
   return out;
 }
@@ -82,7 +84,7 @@ BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
   size_t num_morsels = spec.MorselCount(range.size());
   if (!spec.enabled() || num_morsels <= 1) {
     CancelCheckpoint chk(cancel);
-    ScanRangeInto(range, r, schema, cands, counters, &chk, &out);
+    out = ScanRange(range, r, schema, cands, counters, &chk);
     if (counters) counters->rows_materialized += out.size();
     return out;
   }
@@ -95,8 +97,8 @@ BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
     CancelCheckpoint chk(cancel);
     size_t begin = m * per_morsel;
     size_t end = std::min(begin + per_morsel, range.size());
-    ScanRangeInto(range.Slice(begin, end), r, schema, cands, &local[m], &chk,
-                  &outs[m]);
+    outs[m] = ScanRange(range.Slice(begin, end), r, schema, cands, &local[m],
+                        &chk);
     morsel_span.Attr("rows", outs[m].size());
   });
 

@@ -28,6 +28,13 @@ using SteadyClock = std::chrono::steady_clock;
 constexpr size_t kChunkedBody = static_cast<size_t>(-1);
 constexpr size_t kCloseDelimitedBody = static_cast<size_t>(-2);
 
+/// epoll keys of the listener and the waker. Connections count up from 2
+/// and never reuse a key, so an event reported for a connection closed
+/// earlier in the same batch cannot reach a newer one that was handed the
+/// same fd number.
+constexpr uint64_t kListenKey = 0;
+constexpr uint64_t kWakerKey = 1;
+
 }  // namespace
 
 const char* HttpStatusReason(int status) {
@@ -76,12 +83,17 @@ struct HttpWaker {
     (void)rc;  // EAGAIN just means a wakeup is already pending
   }
 
+  /// Queues `conn` for the event thread. Only the first entry of a batch
+  /// pings: the event thread reads the eventfd before taking the list, so
+  /// a non-empty list always has a ping outstanding.
   void Notify(const std::shared_ptr<HttpConnection>& conn) {
+    bool was_empty;
     {
       std::lock_guard<std::mutex> lk(mu);
+      was_empty = pending.empty();
       pending.push_back(conn);
     }
-    Ping();
+    if (was_empty) Ping();
   }
 
   std::vector<std::shared_ptr<HttpConnection>> Drain() {
@@ -101,12 +113,18 @@ struct HttpWaker {
   }
 };
 
-/// Per-connection state. Socket, parser and epoll bookkeeping belong to
-/// the event thread exclusively; the output queue block is the only state
-/// shared with producer threads, guarded by `mu`.
+/// Per-connection state. Parser and epoll bookkeeping belong to the event
+/// thread exclusively; the output queue block is the only state shared
+/// with producer threads, guarded by `mu`. The socket is the event
+/// thread's, except that a producer may send on it under `mu` while the
+/// queue is empty (see Enqueue); the event thread closes it under `mu`.
 struct HttpConnection {
-  // --- event thread only ---
+  // --- written by the event thread only, under mu; producers read it
+  // under mu ---
   int fd = -1;
+
+  // --- event thread only ---
+  uint64_t key = 0;        ///< epoll key and connections_ map key.
   HttpRequestParser parser;
   bool handling = false;   ///< A request was dispatched; reads are paused.
   bool peer_eof = false;   ///< recv() saw EOF; never keep-alive afterwards.
@@ -128,6 +146,7 @@ struct HttpConnection {
   // --- immutable after accept ---
   std::shared_ptr<HttpWaker> waker;
   size_t high_water = 0;
+  Counter* bytes_written = nullptr;  ///< Null when metrics are off.
 
   explicit HttpConnection(const HttpRequestParser::Limits& limits)
       : parser(limits) {}
@@ -135,15 +154,44 @@ struct HttpConnection {
 
 namespace {
 
-/// Appends `data` to the connection's output queue, blocking while the
-/// queue is at its high-water mark (unless called on the event thread,
-/// which must never block on itself). `last` marks the response complete;
-/// `close` requests connection close once everything is flushed. Returns
-/// false when the connection is already dead.
+/// Sends what the socket takes of `data` now, without blocking; returns
+/// the byte count. Called with conn.mu held and the connection open. On
+/// EAGAIN the event thread sends the rest; on an error it meets the same
+/// error and closes the connection.
+size_t SendNow(HttpConnection& conn, std::string_view data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    ssize_t n = ::send(conn.fd, data.data() + sent, data.size() - sent,
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  if (sent > 0 && conn.bytes_written != nullptr)
+    conn.bytes_written->Increment(static_cast<uint64_t>(sent));
+  return sent;
+}
+
+/// Hands the response's next bytes to the connection. `last` marks the
+/// response complete; `close` requests connection close once everything
+/// is flushed. Returns false when the connection is already dead.
+///
+/// On a producer thread this blocks while the output queue is at its
+/// high-water mark, then, if the queue is empty, sends what it can itself
+/// and queues only the remainder. The event thread never blocks on itself:
+/// it always queues. It is woken only when it must act — bytes were
+/// queued, or the response ended and the connection must turn around.
+/// Byte order holds because the event thread pops a piece only after
+/// sending all of it, so a non-empty queue covers any send in flight.
 bool Enqueue(const std::shared_ptr<HttpConnection>& conn, std::string data,
              bool last, bool close) {
-  bool event_thread =
+  const bool event_thread =
       std::this_thread::get_id() == conn->waker->event_thread;
+  bool queued = false;
   {
     std::unique_lock<std::mutex> lk(conn->mu);
     if (!event_thread) {
@@ -152,14 +200,18 @@ bool Enqueue(const std::shared_ptr<HttpConnection>& conn, std::string data,
       });
     }
     if (conn->closed) return false;
-    if (!data.empty()) {
+    size_t sent = 0;
+    if (!event_thread && conn->outq.empty()) sent = SendNow(*conn, data);
+    if (sent < data.size()) {
+      data.erase(0, sent);
       conn->outq_bytes += data.size();
       conn->outq.push_back(std::move(data));
+      queued = true;
     }
     if (last) conn->response_done = true;
     if (close) conn->close_after = true;
   }
-  conn->waker->Notify(conn);
+  if (queued || last) conn->waker->Notify(conn);
   return true;
 }
 
@@ -180,8 +232,9 @@ HttpExchange::~HttpExchange() {
             "request handler produced no response\n");
   } else if (stage_ == Stage::kStreaming) {
     // A chunked body without its terminal chunk must not look complete:
-    // sever the connection so the client sees the truncation.
-    Enqueue(conn_, std::string(), /*last=*/true, /*close=*/true);
+    // send what is held, then sever the connection so the client sees the
+    // truncation.
+    Enqueue(conn_, std::move(held_), /*last=*/true, /*close=*/true);
   }
 }
 
@@ -245,35 +298,36 @@ bool HttpExchange::BeginStreaming(int status, std::string_view content_type,
   } else {
     chunked_ = true;
   }
-  return Enqueue(
-      conn_, BuildHead(status, content_type, extra_headers, framing, keep_alive),
-      /*last=*/false, /*close=*/!keep_alive);
+  close_ = !keep_alive;
+  held_ = BuildHead(status, content_type, extra_headers, framing, keep_alive);
+  return !client_gone();
 }
 
 bool HttpExchange::Write(std::string_view data) {
   std::lock_guard<std::mutex> lk(mu_);
   if (stage_ != Stage::kStreaming) return false;
   if (data.empty()) return !client_gone();
-  std::string piece;
-  if (chunked_) {
-    char size_line[20];
-    int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
-    piece.reserve(static_cast<size_t>(n) + data.size() + 2);
-    piece.append(size_line, static_cast<size_t>(n));
-    piece.append(data);
-    piece += "\r\n";
-  } else {
-    piece.assign(data);
-  }
-  return Enqueue(conn_, std::move(piece), /*last=*/false, /*close=*/false);
+  if (holds_chunk_ &&
+      !Enqueue(conn_, std::exchange(held_, {}), /*last=*/false, close_))
+    return false;
+  char size_line[20];
+  int n = chunked_ ? std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
+                                   data.size())
+                   : 0;
+  held_.reserve(held_.size() + static_cast<size_t>(n) + data.size() + 2);
+  held_.append(size_line, static_cast<size_t>(n));
+  held_.append(data);
+  if (chunked_) held_ += "\r\n";
+  holds_chunk_ = true;
+  return !client_gone();
 }
 
 void HttpExchange::EndStreaming() {
   std::lock_guard<std::mutex> lk(mu_);
   if (stage_ != Stage::kStreaming) return;
   stage_ = Stage::kDone;
-  Enqueue(conn_, chunked_ ? std::string("0\r\n\r\n") : std::string(),
-          /*last=*/true, /*close=*/false);
+  if (chunked_) held_ += "0\r\n\r\n";
+  Enqueue(conn_, std::move(held_), /*last=*/true, close_);
 }
 
 bool HttpExchange::client_gone() const {
@@ -333,9 +387,9 @@ Status HttpServer::Start() {
   }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
+  ev.data.u64 = kListenKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = waker_->efd;
+  ev.data.u64 = kWakerKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, waker_->efd, &ev);
 
   if (options_.enable_metrics) {
@@ -398,18 +452,18 @@ void HttpServer::EventLoop() {
       break;
     }
     for (int i = 0; i < n; ++i) {
-      int fd = events[i].data.fd;
+      const uint64_t key = events[i].data.u64;
       uint32_t ev = events[i].events;
-      if (fd == listen_fd_) {
+      if (key == kListenKey) {
         AcceptConnections();
         continue;
       }
-      if (fd == waker_->efd) {
+      if (key == kWakerKey) {
         for (const auto& conn : waker_->Drain())
           if (conn->fd >= 0) FlushOut(conn);
         continue;
       }
-      auto it = connections_.find(fd);
+      auto it = connections_.find(key);
       if (it == connections_.end()) continue;
       std::shared_ptr<HttpConnection> conn = it->second;
       if (ev & (EPOLLHUP | EPOLLERR)) {
@@ -424,7 +478,7 @@ void HttpServer::EventLoop() {
   // Shutdown: close every connection (unblocks producers) and bail.
   std::vector<std::shared_ptr<HttpConnection>> all;
   all.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) all.push_back(conn);
+  for (const auto& [key, conn] : connections_) all.push_back(conn);
   for (const auto& conn : all) CloseConnection(conn);
 }
 
@@ -446,18 +500,20 @@ void HttpServer::AcceptConnections() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<HttpConnection>(options_.limits);
     conn->fd = fd;
+    conn->key = next_key_++;
     conn->waker = waker_;
     conn->high_water = options_.out_queue_high_water;
+    conn->bytes_written = bytes_written_total_;
     conn->last_read_activity = SteadyClock::now();
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
+    ev.data.u64 = conn->key;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
       continue;
     }
     conn->armed_read = true;
-    connections_[fd] = std::move(conn);
+    connections_[conn->key] = std::move(conn);
     active_.fetch_add(1, std::memory_order_relaxed);
     if (accepted_total_ != nullptr) accepted_total_->Increment();
     if (active_gauge_ != nullptr) active_gauge_->Add(1);
@@ -470,7 +526,7 @@ void HttpServer::UpdateInterest(const std::shared_ptr<HttpConnection>& conn,
   if (conn->armed_read == want_read && conn->armed_write == want_write) return;
   epoll_event ev{};
   ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-  ev.data.fd = conn->fd;
+  ev.data.u64 = conn->key;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   conn->armed_read = want_read;
   conn->armed_write = want_write;
@@ -628,12 +684,14 @@ void HttpServer::FlushOut(const std::shared_ptr<HttpConnection>& conn) {
 void HttpServer::CloseConnection(const std::shared_ptr<HttpConnection>& conn) {
   if (conn->fd < 0) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  connections_.erase(conn->fd);
-  conn->fd = -1;
+  connections_.erase(conn->key);
   {
+    // Under mu, so no producer is mid-send on this fd and none sends on
+    // it (or on a later connection that reuses the number) afterwards.
     std::lock_guard<std::mutex> lk(conn->mu);
     conn->closed = true;
+    ::close(conn->fd);
+    conn->fd = -1;
   }
   conn->cv.notify_all();  // unblock any producer stuck in Enqueue
   active_.fetch_sub(1, std::memory_order_relaxed);
@@ -643,7 +701,7 @@ void HttpServer::CloseConnection(const std::shared_ptr<HttpConnection>& conn) {
 void HttpServer::SweepTimeouts() {
   SteadyClock::time_point now = SteadyClock::now();
   std::vector<std::shared_ptr<HttpConnection>> idle, stalled;
-  for (const auto& [fd, conn] : connections_) {
+  for (const auto& [key, conn] : connections_) {
     if (conn->stall_since != SteadyClock::time_point{} &&
         now - conn->stall_since > options_.write_stall_timeout) {
       stalled.push_back(conn);

@@ -20,13 +20,20 @@
 //     });
 //   }
 //
-// Backpressure: response bytes go into a per-connection bounded queue the
-// event thread drains into the socket. Write() from a worker blocks once
-// the queue holds Options::out_queue_high_water bytes and resumes as the
-// client reads — so streaming a huge result set holds O(high_water) memory,
-// not the whole body. A client that stops reading trips the write-stall
-// timeout; the event thread closes the connection, which unblocks the
-// worker with Write() == false (same as any disconnect mid-response).
+// Who sends: a worker sends its response bytes itself while the
+// connection's output queue is empty; what the socket does not take goes
+// into that per-connection bounded queue, which the event thread drains.
+// A streaming exchange holds each piece until the next one (the head rides
+// with the first chunk, the terminal chunk with the last), so a response
+// under one flush leaves in one send, with no event-thread wake-up but the
+// one that turns the connection around.
+//
+// Backpressure: Write() from a worker blocks once the queue holds
+// Options::out_queue_high_water bytes and resumes as the client reads — so
+// streaming a huge result set holds O(high_water) memory, not the whole
+// body. A client that stops reading trips the write-stall timeout; the
+// event thread closes the connection, which unblocks the worker with
+// Write() == false (same as any disconnect mid-response).
 //
 // Keep-alive and pipelining: reads are disabled while a request is being
 // handled (a pipelined burst is buffered by the kernel / parser, bounding
@@ -90,13 +97,16 @@ class HttpExchange {
   bool BeginStreaming(int status, std::string_view content_type,
                       std::vector<HttpHeader> extra_headers = {});
 
-  /// Appends one piece of the streaming body. Blocks while the connection's
-  /// output queue is at its high-water mark (client-paced backpressure).
-  /// Returns false once the client has disconnected or the server closed
-  /// the connection (write stall, shutdown) — the response is abandoned.
+  /// Appends one piece of the streaming body. The piece is held until the
+  /// next Write or EndStreaming, which hands it over; that hand-over blocks
+  /// while the connection's output queue is at its high-water mark
+  /// (client-paced backpressure). Returns false once the client has
+  /// disconnected or the server closed the connection (write stall,
+  /// shutdown) — the response is abandoned.
   bool Write(std::string_view data);
 
-  /// Completes a streaming response (sends the terminal chunk).
+  /// Completes a streaming response: hands over what is held with the
+  /// terminal chunk.
   void EndStreaming();
 
   /// True once the connection is known dead. A false result is advisory —
@@ -123,7 +133,10 @@ class HttpExchange {
   std::mutex mu_;          ///< Serializes stage transitions.
   Stage stage_ = Stage::kHead;
   bool chunked_ = false;   ///< Streaming with chunked framing (HTTP/1.1).
+  bool close_ = false;     ///< Streaming response ends the connection.
   bool force_close_ = false;
+  std::string held_;       ///< Streamed bytes not yet handed over.
+  bool holds_chunk_ = false;  ///< held_ ends with a body chunk.
 };
 
 class HttpServer {
@@ -196,7 +209,8 @@ class HttpServer {
   std::atomic<size_t> active_{0};
 
   std::shared_ptr<HttpWaker> waker_;
-  std::unordered_map<int, std::shared_ptr<HttpConnection>> connections_;
+  std::unordered_map<uint64_t, std::shared_ptr<HttpConnection>> connections_;
+  uint64_t next_key_ = 2;  ///< Next connection's epoll key (0, 1: see .cc).
 
   // Null when Options::enable_metrics is false.
   Counter* accepted_total_ = nullptr;

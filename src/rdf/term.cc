@@ -13,32 +13,35 @@ std::string Term::ToString() const {
 }
 
 void Term::AppendTo(std::string* out) const {
+  const size_t old = out->size();
+  out->resize(old + MaxStringSize());
+  char* const begin = out->data();
+  out->resize(static_cast<size_t>(WriteTo(begin + old) - begin));
+}
+
+char* Term::WriteTo(char* out) const {
   switch (kind) {
     case TermKind::kIri:
-      *out += '<';
-      *out += lexical;
-      *out += '>';
-      return;
+      *out++ = '<';
+      out = CopyTo(lexical, out);
+      *out++ = '>';
+      return out;
     case TermKind::kBlank:
-      *out += "_:";
-      *out += lexical;
-      return;
+      return CopyTo(lexical, CopyTo("_:", out));
     case TermKind::kLiteral:
-      *out += '"';
-      AppendEscapedLiteral(lexical, out);
-      *out += '"';
-      if (!qualifier.empty()) {
-        if (qualifier_is_lang) {
-          *out += '@';
-          *out += qualifier;
-        } else {
-          *out += "^^<";
-          *out += qualifier;
-          *out += '>';
-        }
+      *out++ = '"';
+      out = EscapeLiteralTo(lexical, out);
+      *out++ = '"';
+      if (qualifier.empty()) return out;
+      if (qualifier_is_lang) {
+        *out++ = '@';
+        return CopyTo(qualifier, out);
       }
-      return;
+      out = CopyTo(qualifier, CopyTo("^^<", out));
+      *out++ = '>';
+      return out;
   }
+  return out;
 }
 
 std::string Term::CanonicalKey() const {

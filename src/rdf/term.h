@@ -74,6 +74,15 @@ struct Term {
   /// Appends ToString()'s text to `out`.
   void AppendTo(std::string* out) const;
 
+  /// Room WriteTo needs: an upper bound of ToString().size().
+  size_t MaxStringSize() const {
+    return 6 + 2 * lexical.size() + qualifier.size();
+  }
+
+  /// Writes ToString()'s text at `out`, which has MaxStringSize() bytes of
+  /// room, and returns its end.
+  char* WriteTo(char* out) const;
+
   /// Canonical dictionary key; injective over all well-formed terms.
   std::string CanonicalKey() const;
 

@@ -26,7 +26,8 @@ Histogram* RequestLatencyHistogram(bool enabled) {
   if (!enabled) return nullptr;
   return MetricRegistry::Global().GetHistogram(
       "sparqluo_http_request_ms",
-      "End-to-end HTTP request latency, receipt to response completion (ms)");
+      "HTTP request latency, from dispatch to the response handed to the "
+      "connection (ms)");
 }
 
 /// Maps an engine Status to the HTTP status code of the error response.
@@ -92,6 +93,45 @@ void ObserveLatency(SteadyClock::time_point start, bool enabled) {
                                                          start)
                    .count());
   }
+}
+
+/// Answers a finished query: an error status, or the rows streamed in
+/// `format` (CONSTRUCT upgrades to N-Triples when the client stated no
+/// Accept preference).
+void AnswerQuery(const std::shared_ptr<HttpExchange>& exchange,
+                 const QueryResponse& r, const Dictionary& dict,
+                 WireFormat format, bool accept_empty, size_t flush_bytes,
+                 int retry_after, bool metrics_on) {
+  if (!r.status.ok() || r.plan == nullptr) {
+    Status status = r.status.ok()
+                        ? Status::Internal("query succeeded without a plan")
+                        : r.status;
+    ReplyStatus(exchange, status, &r.metrics, retry_after, metrics_on);
+    return;
+  }
+  const bool is_construct = r.plan->query.form == QueryForm::kConstruct;
+  if (accept_empty && is_construct) format = WireFormat::kNTriples;
+  if (format == WireFormat::kNTriples && !is_construct) {
+    Reply(exchange, 406,
+          "not acceptable: application/n-triples serves CONSTRUCT "
+          "results only\n",
+          metrics_on);
+    return;
+  }
+  if (Counter* c = ResponseCounter(200, metrics_on)) c->Increment();
+  if (!exchange->BeginStreaming(200, WireFormatContentType(format))) return;
+  StreamingResultWriter writer(
+      format,
+      [&exchange](std::string_view piece) { return exchange->Write(piece); },
+      flush_bytes);
+  if (r.plan->query.form == QueryForm::kAsk) {
+    writer.WriteBoolean(!r.rows.empty());
+  } else if (is_construct) {
+    writer.WriteTriples(r.rows, dict);
+  } else {
+    writer.WriteAll(r.rows, r.plan->query.vars, dict);
+  }
+  exchange->EndStreaming();
 }
 
 /// Ceiling for the client-supplied `timeout` parameter. Values above this are
@@ -234,38 +274,9 @@ void SparqlEndpoint::HandleSparql(
                     flush_bytes = options_.flush_bytes,
                     retry_after = options_.retry_after_seconds, metrics_on,
                     start = SteadyClock::now()](const QueryResponse& r) {
+    AnswerQuery(exchange, r, *dict, format, accept_empty, flush_bytes,
+                retry_after, metrics_on);
     ObserveLatency(start, metrics_on);
-    if (!r.status.ok() || r.plan == nullptr) {
-      Status status = r.status.ok()
-                          ? Status::Internal("query succeeded without a plan")
-                          : r.status;
-      ReplyStatus(exchange, status, &r.metrics, retry_after, metrics_on);
-      return;
-    }
-    const bool is_construct = r.plan->query.form == QueryForm::kConstruct;
-    WireFormat fmt = format;
-    if (accept_empty && is_construct) fmt = WireFormat::kNTriples;
-    if (fmt == WireFormat::kNTriples && !is_construct) {
-      Reply(exchange, 406,
-            "not acceptable: application/n-triples serves CONSTRUCT "
-            "results only\n",
-            metrics_on);
-      return;
-    }
-    if (Counter* c = ResponseCounter(200, metrics_on)) c->Increment();
-    if (!exchange->BeginStreaming(200, WireFormatContentType(fmt))) return;
-    StreamingResultWriter writer(
-        fmt,
-        [&exchange](std::string_view piece) { return exchange->Write(piece); },
-        flush_bytes);
-    if (r.plan->query.form == QueryForm::kAsk) {
-      writer.WriteBoolean(!r.rows.empty());
-    } else if (is_construct) {
-      writer.WriteTriples(r.rows, *dict);
-    } else {
-      writer.WriteAll(r.rows, r.plan->query.vars, *dict);
-    }
-    exchange->EndStreaming();
   };
   // The future is intentionally dropped: the response flows through the
   // completion hook (including inline admission rejections).
@@ -306,12 +317,12 @@ void SparqlEndpoint::HandleUpdate(
   ur.on_complete = [exchange, retry_after = options_.retry_after_seconds,
                     metrics_on,
                     start = SteadyClock::now()](const UpdateResponse& r) {
-    ObserveLatency(start, metrics_on);
-    if (!r.status.ok()) {
+    if (r.status.ok()) {
+      Reply(exchange, 200, "ok\n", metrics_on);
+    } else {
       ReplyStatus(exchange, r.status, nullptr, retry_after, metrics_on);
-      return;
     }
-    Reply(exchange, 200, "ok\n", metrics_on);
+    ObserveLatency(start, metrics_on);
   };
   service_.SubmitUpdate(std::move(ur));
 }

@@ -1,67 +1,82 @@
 #include "sparql/result_writer.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cstring>
+
+#include "util/string_util.h"
 
 namespace sparqluo {
 
 namespace {
 
-/// Appends `s` to `out`, replacing every byte `needs_escape` selects with
-/// what `escape` appends for it. Runs of bytes that need no escaping go
-/// out in one append.
-template <typename NeedsEscape, typename Escape>
-void AppendEscaped(std::string_view s, std::string* out,
-                   NeedsEscape needs_escape, Escape escape) {
-  size_t run = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (!needs_escape(static_cast<unsigned char>(s[i]))) continue;
-    out->append(s.data() + run, i - run);
-    escape(s[i], out);
-    run = i + 1;
-  }
-  out->append(s.data() + run, s.size() - run);
+/// Writes `s` as a JSON string token, quotes included. Room: 2 + 6 * size.
+char* WriteJsonString(std::string_view s, char* out) {
+  *out++ = '"';
+  out = EscapeJsonTo(s, out);
+  *out++ = '"';
+  return out;
 }
 
 /// One cell of a JSON binding: {"type":…,"value":…[,"xml:lang"|"datatype":…]}.
-void RenderJsonCell(const Term& term, std::string* out) {
+char* WriteJsonCell(const Term& term, char* out) {
   switch (term.kind) {
-    case TermKind::kIri: *out += "{\"type\":\"uri\",\"value\":"; break;
-    case TermKind::kLiteral: *out += "{\"type\":\"literal\",\"value\":"; break;
-    case TermKind::kBlank: *out += "{\"type\":\"bnode\",\"value\":"; break;
+    case TermKind::kIri:
+      out = CopyTo("{\"type\":\"uri\",\"value\":", out);
+      break;
+    case TermKind::kLiteral:
+      out = CopyTo("{\"type\":\"literal\",\"value\":", out);
+      break;
+    case TermKind::kBlank:
+      out = CopyTo("{\"type\":\"bnode\",\"value\":", out);
+      break;
   }
-  AppendJsonString(term.lexical, out);
+  out = WriteJsonString(term.lexical, out);
   if (term.is_literal() && !term.qualifier.empty()) {
-    *out += term.qualifier_is_lang ? ",\"xml:lang\":" : ",\"datatype\":";
-    AppendJsonString(term.qualifier, out);
+    out = CopyTo(
+        term.qualifier_is_lang ? ",\"xml:lang\":" : ",\"datatype\":", out);
+    out = WriteJsonString(term.qualifier, out);
   }
-  *out += '}';
+  *out++ = '}';
+  return out;
 }
 
 /// A CSV cell: the plain value (IRIs and literal values bare, blank nodes
 /// as _:label), quoted with embedded quotes doubled when it holds a comma,
 /// quote or line break.
-void RenderCsvCell(const Term& term, std::string* out) {
+char* WriteCsvCell(const Term& term, char* out) {
   const std::string_view value = term.lexical;
   const bool quote = value.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (quote) *out += '"';
-  if (term.is_blank()) *out += "_:";
-  if (!quote) {
-    *out += value;
-    return;
+  if (quote) *out++ = '"';
+  if (term.is_blank()) out = CopyTo("_:", out);
+  if (!quote) return CopyTo(value, out);
+  for (char c : value) {
+    if (c == '"') *out++ = '"';
+    *out++ = c;
   }
-  AppendEscaped(
-      value, out, [](unsigned char c) { return c == '"'; },
-      [](char, std::string* o) { *o += "\"\""; });
-  *out += '"';
+  *out++ = '"';
+  return out;
 }
 
-void RenderCell(WireFormat format, const Term& term, std::string* out) {
+/// Room WriteCell needs for `term`.
+size_t CellBound(WireFormat format, const Term& term) {
   switch (format) {
-    case WireFormat::kJson: RenderJsonCell(term, out); return;
+    case WireFormat::kJson:  // fixed text ≤ 43 bytes; escapes ≤ 6×
+      return 48 + 6 * (term.lexical.size() + term.qualifier.size());
     case WireFormat::kTsv:
-    case WireFormat::kNTriples: term.AppendTo(out); return;
-    case WireFormat::kCsv: RenderCsvCell(term, out); return;
+    case WireFormat::kNTriples: return term.MaxStringSize();
+    case WireFormat::kCsv: return 4 + 2 * term.lexical.size();
   }
+  return 0;
+}
+
+char* WriteCell(WireFormat format, const Term& term, char* out) {
+  switch (format) {
+    case WireFormat::kJson: return WriteJsonCell(term, out);
+    case WireFormat::kTsv:
+    case WireFormat::kNTriples: return term.WriteTo(out);
+    case WireFormat::kCsv: return WriteCsvCell(term, out);
+  }
+  return out;
 }
 
 /// Cell separator of the row formats (JSON separates bound cells only).
@@ -73,6 +88,7 @@ char CellSeparator(WireFormat format) {
   }
 }
 
+/// At most 3 bytes.
 std::string_view RowEnd(WireFormat format) {
   switch (format) {
     case WireFormat::kJson: return "}";
@@ -96,25 +112,10 @@ std::string_view WireFormatContentType(WireFormat format) {
 }
 
 void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  AppendEscaped(
-      s, out,
-      [](unsigned char c) { return c == '"' || c == '\\' || c < 0x20; },
-      [](char c, std::string* o) {
-        switch (c) {
-          case '"': *o += "\\\""; break;
-          case '\\': *o += "\\\\"; break;
-          case '\n': *o += "\\n"; break;
-          case '\r': *o += "\\r"; break;
-          case '\t': *o += "\\t"; break;
-          default: {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            *o += buf;
-          }
-        }
-      });
-  out->push_back('"');
+  const size_t old = out->size();
+  out->resize(old + 2 + 6 * s.size());
+  char* const begin = out->data();
+  out->resize(static_cast<size_t>(WriteJsonString(s, begin + old) - begin));
 }
 
 StreamingResultWriter::StreamingResultWriter(WireFormat format, Sink sink,
@@ -123,24 +124,37 @@ StreamingResultWriter::StreamingResultWriter(WireFormat format, Sink sink,
       sink_(std::move(sink)),
       flush_bytes_(flush_bytes == 0 ? 1 : flush_bytes) {}
 
+char* StreamingResultWriter::Reserve(size_t n) {
+  if (cap_ - size_ < n) {
+    const size_t cap = std::max(2 * cap_, size_ + n);
+    auto grown = std::make_unique_for_overwrite<char[]>(cap);
+    if (size_ > 0) std::memcpy(grown.get(), buffer_.get(), size_);
+    buffer_ = std::move(grown);
+    cap_ = cap;
+  }
+  return buffer_.get() + size_;
+}
+
+void StreamingResultWriter::Append(std::string_view s) {
+  CopyTo(s, Reserve(s.size()));
+  size_ += s.size();
+}
+
 bool StreamingResultWriter::MaybeFlush() {
-  if (buffer_.size() > max_buffered_) max_buffered_ = buffer_.size();
-  if (buffer_.size() < flush_bytes_) return !failed_;
+  if (size_ > max_buffered_) max_buffered_ = size_;
+  if (size_ < flush_bytes_) return !failed_;
   return FlushAll();
 }
 
 bool StreamingResultWriter::FlushAll() {
   if (failed_) return false;
-  if (buffer_.size() > max_buffered_) max_buffered_ = buffer_.size();
-  if (buffer_.empty()) return true;
-  bytes_emitted_ += buffer_.size();
-  if (!sink_(buffer_)) {
-    failed_ = true;
-    buffer_.clear();
-    return false;
-  }
-  buffer_.clear();
-  return true;
+  if (size_ > max_buffered_) max_buffered_ = size_;
+  if (size_ == 0) return true;
+  bytes_emitted_ += size_;
+  const bool accepted = sink_(std::string_view(buffer_.get(), size_));
+  size_ = 0;
+  if (!accepted) failed_ = true;
+  return accepted;
 }
 
 bool StreamingResultWriter::BeginSelect(const std::vector<VarId>& schema,
@@ -149,23 +163,24 @@ bool StreamingResultWriter::BeginSelect(const std::vector<VarId>& schema,
   began_ = true;
   columns_.assign(schema.size(), Column{});
   if (format_ == WireFormat::kJson) {
-    buffer_ += "{\"head\":{\"vars\":[";
+    Append("{\"head\":{\"vars\":[");
     for (size_t c = 0; c < schema.size(); ++c) {
-      if (c > 0) buffer_ += ',';
+      if (c > 0) Append(",");
       std::string& key = columns_[c].key;
       AppendJsonString(vars.Name(schema[c]), &key);
-      buffer_.append(key);
+      Append(key);
       key += ':';
     }
-    buffer_ += "]},\"results\":{\"bindings\":[";
+    Append("]},\"results\":{\"bindings\":[");
   } else if (format_ != WireFormat::kNTriples) {
     // TSV names carry their '?'; CSV names are bare.
+    const char separator = CellSeparator(format_);
     for (size_t c = 0; c < schema.size(); ++c) {
-      if (c > 0) buffer_ += CellSeparator(format_);
-      if (format_ == WireFormat::kTsv) buffer_ += '?';
-      buffer_ += vars.Name(schema[c]);
+      if (c > 0) Append(std::string_view(&separator, 1));
+      if (format_ == WireFormat::kTsv) Append("?");
+      Append(vars.Name(schema[c]));
     }
-    buffer_ += RowEnd(format_);
+    Append(RowEnd(format_));
   }
   // kNTriples: statements only, no header.
   return MaybeFlush();
@@ -175,29 +190,49 @@ bool StreamingResultWriter::WriteRow(const TermId* row, size_t width,
                                      const Dictionary& dict) {
   if (failed_) return false;
   if (columns_.size() < width) columns_.resize(width);
+  // Bound the row: a separator per cell, ",{" and a row end of at most 3
+  // bytes, and per bound cell its key plus its cached text or the room a
+  // fresh rendering needs.
+  size_t bound = width + 5;
+  for (size_t c = 0; c < width; ++c) {
+    const TermId id = row[c];
+    if (id == kUnboundTerm) continue;
+    const Column& col = columns_[c];
+    bound += col.key.size();
+    bound += col.id == id ? col.cell.size()
+                          : CellBound(format_, dict.Decode(id));
+  }
+  char* const begin = Reserve(bound);
+  char* out = begin;
   const bool json = format_ == WireFormat::kJson;
-  if (json) buffer_ += rows_written_ > 0 ? ",{" : "{";
+  if (json) {
+    if (rows_written_ > 0) *out++ = ',';
+    *out++ = '{';
+  }
   bool first = true;
   for (size_t c = 0; c < width; ++c) {
     const TermId id = row[c];
     if (json) {
       if (id == kUnboundTerm) continue;  // unbound vars are omitted
-      if (!first) buffer_ += ',';
+      if (!first) *out++ = ',';
       first = false;
-      buffer_ += columns_[c].key;
+      out = CopyTo(columns_[c].key, out);
     } else if (c > 0) {
-      buffer_ += CellSeparator(format_);
+      *out++ = CellSeparator(format_);
     }
     if (id == kUnboundTerm) continue;  // an empty TSV/CSV cell
     Column& col = columns_[c];
-    if (col.id != id) {
-      col.cell.clear();
-      RenderCell(format_, dict.Decode(id), &col.cell);
-      col.id = id;
+    if (col.id == id) {
+      out = CopyTo(col.cell, out);
+      continue;
     }
-    buffer_ += col.cell;
+    char* const cell = out;
+    out = WriteCell(format_, dict.Decode(id), out);
+    col.cell.assign(cell, out);
+    col.id = id;
   }
-  buffer_ += RowEnd(format_);
+  out = CopyTo(RowEnd(format_), out);
+  size_ += static_cast<size_t>(out - begin);
   ++rows_written_;
   return MaybeFlush();
 }
@@ -234,10 +269,10 @@ bool StreamingResultWriter::WriteBoolean(bool value) {
   if (failed_ || finished_) return !failed_;
   finished_ = true;
   if (format_ == WireFormat::kJson) {
-    buffer_ += value ? "{\"head\":{},\"boolean\":true}"
-                     : "{\"head\":{},\"boolean\":false}";
+    Append(value ? "{\"head\":{},\"boolean\":true}"
+                 : "{\"head\":{},\"boolean\":false}");
   } else {
-    buffer_ += value ? "true\n" : "false\n";
+    Append(value ? "true\n" : "false\n");
   }
   return FlushAll();
 }
@@ -245,7 +280,7 @@ bool StreamingResultWriter::WriteBoolean(bool value) {
 bool StreamingResultWriter::Finish() {
   if (failed_ || finished_) return !failed_;
   finished_ = true;
-  if (began_ && format_ == WireFormat::kJson) buffer_ += "]}}";
+  if (began_ && format_ == WireFormat::kJson) Append("]}}");
   return FlushAll();
 }
 

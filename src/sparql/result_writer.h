@@ -14,12 +14,14 @@
 // this code, which is what makes over-the-wire bodies bit-identical to
 // in-process FormatResults output.
 //
-// Cells are rendered from each term's stored bytes, never through a
-// temporary Term::ToString(), and escaping appends unescaped runs whole.
-// Each column keeps the TermId of its previous cell with that cell's
-// rendered text, so a value repeated down a column (a subject spanning
-// many rows, a shared type or department) costs one copy. JSON object keys
-// ("name":) are rendered once, at BeginSelect.
+// Rows are written through a pointer into raw buffer space: WriteRow
+// bounds the row's rendered size, grows the buffer at most once, then
+// writes every cell in place. Cells are rendered from each term's stored
+// bytes, and escaping tests eight bytes at a time, copying clean words
+// whole. Each column keeps the TermId of its previous cell with that
+// cell's rendered text, so a value repeated down a column (a subject
+// spanning many rows, a shared type or department) costs one copy. JSON
+// object keys ("name":) are rendered once, at BeginSelect.
 //
 // A Sink returning false aborts serialization (client disconnected, write
 // stalled): every later call becomes a no-op returning false, and nothing
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,13 +114,21 @@ class StreamingResultWriter {
   /// own schema; `schema` has one entry per column of `rows`.
   bool WriteAllAs(const BindingSet& rows, const std::vector<VarId>& schema,
                   const VarTable& vars, const Dictionary& dict);
+  /// Makes room for `n` more bytes and returns where they go; the caller
+  /// advances size_ by what it wrote.
+  char* Reserve(size_t n);
+  void Append(std::string_view s);
   bool MaybeFlush();
   bool FlushAll();
 
   WireFormat format_;
   Sink sink_;
   size_t flush_bytes_;
-  std::string buffer_;
+  /// Output not yet handed to the sink: size_ bytes of cap_. Raw storage,
+  /// so reserving a row's worst case never zero-fills it.
+  std::unique_ptr<char[]> buffer_;
+  size_t size_ = 0;
+  size_t cap_ = 0;
   std::vector<Column> columns_;
   bool began_ = false;
   bool finished_ = false;

@@ -27,9 +27,17 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 /// (backslash, quote, newline, tab, carriage return).
 std::string EscapeLiteral(std::string_view s);
 
-/// EscapeLiteral appending to `out`; runs that need no escaping are
-/// appended whole.
-void AppendEscapedLiteral(std::string_view s, std::string* out);
+/// Copies `s` to `out` and returns the end of the copy.
+char* CopyTo(std::string_view s, char* out);
+
+/// EscapeLiteral writing through a raw pointer: writes the escaped text
+/// at `out`, which has room for 2 * s.size() bytes, and returns its end.
+char* EscapeLiteralTo(std::string_view s, char* out);
+
+/// Escapes `s` as the inside of a JSON string (quote, backslash and the
+/// control characters below 0x20; UTF-8 passes through) at `out`, which
+/// has room for 6 * s.size() bytes, and returns the end.
+char* EscapeJsonTo(std::string_view s, char* out);
 
 /// Inverse of EscapeLiteral.
 std::string UnescapeLiteral(std::string_view s);

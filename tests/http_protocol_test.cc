@@ -10,14 +10,18 @@
 // shares nothing with src/http.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/database.h"
 #include "engine/result_writer.h"
 #include "http_client.h"
+#include "obs/metrics.h"
 #include "server/query_service.h"
 #include "server/sparql_endpoint.h"
 #include "workload/lubm_generator.h"
@@ -395,6 +399,93 @@ TEST_F(HttpProtocolTest, ResultCacheRepeatBodiesAreIdentical) {
     EXPECT_NE(metrics.body.find(family), std::string::npos)
         << family << " missing from /metrics";
   }
+}
+
+// --- Metrics the send paths keep -----------------------------------------
+
+/// Polls until `h` holds `count` observations: the worker observes after
+/// handing the response over, which can be after the client read it.
+bool WaitForCount(const Histogram& h, uint64_t count) {
+  for (int i = 0; i < 1000 && h.Count() < count; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  return h.Count() >= count;
+}
+
+// sparqluo_http_request_ms ends when the response has been handed to the
+// connection, so it covers rendering: a result-cache hit of a large
+// answer executes nothing, and its observation is still at least the
+// answer's in-process render time.
+TEST_F(HttpProtocolTest, RequestLatencyCoversRendering) {
+  Endpoint ep(*db_);
+  const std::string query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
+  Histogram* latency =
+      MetricRegistry::Global().GetHistogram("sparqluo_http_request_ms");
+  ASSERT_NE(latency, nullptr);
+  const uint64_t before_cold = latency->Count();
+  Response cold = Fetch(ep.port(), SparqlGet(query), /*timeout_ms=*/60000);
+  ASSERT_TRUE(cold.ok);
+  ASSERT_EQ(cold.status, 200);
+  ASSERT_TRUE(WaitForCount(*latency, before_cold + 1));
+
+  QueryResponse ref = ep.service.Submit(QueryRequest{.text = query}).get();
+  ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
+  double render_ms = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    StreamingResultWriter writer(WireFormat::kJson,
+                                 [](std::string_view) { return true; });
+    ASSERT_TRUE(writer.WriteAll(ref.rows, ref.plan->query.vars, db_->dict()));
+    render_ms = std::min(
+        render_ms, std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  }
+
+  const uint64_t count = latency->Count();
+  const double sum = latency->Sum();
+  Response warm = Fetch(ep.port(), SparqlGet(query), /*timeout_ms=*/60000);
+  ASSERT_TRUE(warm.ok);
+  ASSERT_EQ(warm.status, 200);
+  EXPECT_EQ(warm.body, cold.body);
+  ASSERT_TRUE(WaitForCount(*latency, count + 1));
+  EXPECT_GE(latency->Sum() - sum, render_ms)
+      << "the request histogram stopped before the answer was rendered";
+}
+
+// sparqluo_http_io_bytes_total{direction="write"} counts every byte sent,
+// by the event thread or by the worker that rendered the answer: over
+// answers small and large, its delta is exactly what the clients read.
+TEST_F(HttpProtocolTest, WriteCounterMatchesBytesRead) {
+  Endpoint ep(*db_);
+  Counter* written = MetricRegistry::Global().GetCounter(
+      "sparqluo_http_io_bytes_total", "", "direction=\"write\"");
+  ASSERT_NE(written, nullptr);
+  const std::vector<std::string> requests = {
+      SparqlGet(kSimpleQuery),
+      SparqlGet("SELECT ?s ?p ?o WHERE { ?s ?p ?o }"),
+      SparqlGet(kSimpleQuery, "text/tab-separated-values"),
+      SparqlGet("SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+                "text/tab-separated-values"),
+      "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+      "GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+      "GET /healthz HTTP/9.9\r\n\r\n",
+  };
+  const uint64_t before = written->value();
+  uint64_t read = 0;
+  for (int round = 0; round < 2; ++round) {  // cold, then result-cache hits
+    for (const std::string& request : requests) {
+      TestHttpClient client(ep.port());
+      ASSERT_TRUE(client.connected());
+      ASSERT_TRUE(client.SendRaw(request));
+      // Every request closes its connection, so EOF ends each answer and
+      // the server counted its bytes before it closed.
+      const std::string answer = client.ReadAll(60000);
+      EXPECT_EQ(answer.compare(0, 9, "HTTP/1.1 "), 0) << request;
+      read += answer.size();
+    }
+  }
+  EXPECT_GT(read, 1000000u);
+  EXPECT_EQ(written->value() - before, read);
 }
 
 // --- Updates ------------------------------------------------------------

@@ -1,16 +1,23 @@
 // Torture tests for the HTTP server (src/http/http_server.h): every-prefix
 // truncation, split-at-every-byte feeds, pipelined keep-alive, oversize
 // request lines/headers/bodies, slow-loris idle timeouts, write-stall
-// timeouts, and abrupt mid-response disconnects. Every scenario ends by
+// timeouts, abrupt mid-response disconnects, and the two send paths (a
+// worker sending its own answer, the event thread draining the queue).
+// Every scenario ends by
 // proving the server still serves a clean request — the invariant under
 // torture is "no wedged connections, no wedged workers".
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
+#include "engine/result_writer.h"
 #include "http_client.h"
+#include "obs/metrics.h"
 #include "server/query_service.h"
 #include "server/sparql_endpoint.h"
 #include "workload/lubm_generator.h"
@@ -318,6 +325,162 @@ TEST_F(HttpTortureTest, AbruptDisconnectMidResponse) {
     EXPECT_FALSE(some.empty()) << "no response bytes before disconnect";
     client.Close();
     ExpectHealthy();
+  }
+}
+
+// --- The two send paths -------------------------------------------------
+//
+// A worker sends its answer itself while the connection's output queue is
+// empty and queues only what the socket does not take; the event thread
+// drains queued bytes. These cases mix both paths on purpose.
+
+/// The in-process JSON body of `query` (the over-the-wire oracle).
+std::string ExpectedJson(QueryService& service, const Database& db,
+                         const std::string& query) {
+  QueryResponse r = service.Submit(QueryRequest{.text = query}).get();
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  if (r.plan == nullptr) return {};
+  return FormatResults(r.rows, r.plan->query.vars, db.dict(),
+                       ResultFormat::kJson);
+}
+
+/// A keep-alive GET /sparql request (SparqlGet's closes the connection).
+std::string KeepAliveGet(const std::string& query) {
+  return "GET /sparql?query=" + testhttp::UrlEncode(query) +
+         " HTTP/1.1\r\nHost: t\r\n\r\n";
+}
+
+// One client asks for a multi-MB answer and stops reading, so its bytes
+// sit in the output queue. Small answers on another connection must still
+// complete promptly and whole, long before the stalled connection is
+// evicted by the write-stall timeout — which must still happen.
+TEST_F(HttpTortureTest, StalledLargeAnswerDoesNotDelaySmallOnes) {
+  QueryService::Options sopts;
+  sopts.num_threads = 2;
+  QueryService service(*db_, sopts);
+  SparqlEndpoint::Options eopts;
+  eopts.http.write_stall_timeout = std::chrono::milliseconds(3000);
+  SparqlEndpoint endpoint(service, db_->dict(), eopts);
+  ASSERT_TRUE(endpoint.Start().ok());
+
+  const std::vector<std::string> small = {
+      "SELECT ?x WHERE { ?x ?p ?o } LIMIT 3",
+      "SELECT ?p WHERE { ?x ?p ?o } LIMIT 7",
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
+      "SELECT ?x ?d WHERE { ?x ub:headOf ?d }"};
+  std::vector<std::string> expected;
+  for (const std::string& q : small)
+    expected.push_back(ExpectedJson(service, *db_, q));
+
+  Counter* stalls = MetricRegistry::Global().GetCounter(
+      "sparqluo_http_timeouts_total", "", "kind=\"write_stall\"");
+  const uint64_t stalls_before = stalls->value();
+  TestHttpClient staller(endpoint.port());
+  ASSERT_TRUE(staller.connected());
+  const auto stalled_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(
+      staller.SendRaw(SparqlGet("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  TestHttpClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  for (int round = 0; round < 10; ++round) {
+    for (size_t i = 0; i < small.size(); ++i) {
+      ASSERT_TRUE(client.SendRaw(KeepAliveGet(small[i])));
+      Response r = client.ReadResponse(2000);
+      ASSERT_TRUE(r.ok) << "round " << round << ", query " << i;
+      ASSERT_EQ(r.status, 200);
+      EXPECT_EQ(r.body, expected[i]) << "round " << round << ", query " << i;
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - stalled_at,
+            eopts.http.write_stall_timeout)
+      << "small answers waited for the stalled connection's eviction";
+
+  // Eviction, seen on the stall counter; reading afterwards finds the
+  // body cut short of its terminal chunk.
+  for (int i = 0; i < 300 && stalls->value() == stalls_before; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(stalls->value(), stalls_before + 1)
+      << "stalled connection survived the write-stall timeout";
+  const std::string cut = staller.ReadAll(15000);
+  EXPECT_EQ(cut.compare(0, 9, "HTTP/1.1 "), 0);
+  EXPECT_FALSE(cut.ends_with("\r\n0\r\n\r\n"));
+  Response after = client.Request(KeepAliveGet(small[0]), 5000);
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.body, expected[0]);
+}
+
+// Clients that vanish while a worker is sending straight to the socket:
+// right after the request (the worker's send meets the reset), or after
+// the first bytes. Answers of one flush and of many are both covered; a
+// concurrent client keeps getting whole answers throughout.
+TEST_F(HttpTortureTest, CloseWhileWorkerSendsDirectly) {
+  const std::string small = "SELECT ?x WHERE { ?x ?p ?o } LIMIT 3";
+  const std::string expected = ExpectedJson(*service_, *db_, small);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::thread steady([&] {
+    while (!done.load()) {
+      Response r = Fetch(port(), SparqlGet(small), 30000);
+      if (!r.ok || r.status != 200 || r.body != expected) bad.fetch_add(1);
+    }
+  });
+  const char* queries[] = {
+      "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",             // many flushes
+      "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 400",  // one flush
+  };
+  for (int round = 0; round < 20; ++round) {
+    TestHttpClient client(port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.SendRaw(SparqlGet(queries[round % 2])));
+    if (round % 4 >= 2) client.ReadSome(30000);
+    client.Close();
+  }
+  done.store(true);
+  steady.join();
+  EXPECT_EQ(bad.load(), 0);
+  ExpectHealthy();
+}
+
+// Pipelined keep-alive queries whose answers take both send paths (one
+// spans many flushes) arrive whole and in order; HTTP/1.0 answers, which
+// are close-delimited, arrive whole for one flush and for many.
+TEST_F(HttpTortureTest, PipelinedAndHttp10AnswersArriveWholeAndInOrder) {
+  const std::vector<std::string> queries = {
+      "SELECT ?x WHERE { ?x ?p ?o } LIMIT 2",
+      "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 20000",
+      "SELECT ?p WHERE { ?x ?p ?o } LIMIT 5",
+      "SELECT ?o WHERE { ?x ?p ?o } LIMIT 3000",
+      "SELECT ?x WHERE { ?x ?p ?o } LIMIT 1"};
+  std::vector<std::string> expected;
+  for (const std::string& q : queries)
+    expected.push_back(ExpectedJson(*service_, *db_, q));
+  ASSERT_GT(expected[1].size(), 4 * StreamingResultWriter::kDefaultFlushBytes);
+
+  std::string batch;
+  for (const std::string& q : queries) batch += KeepAliveGet(q);
+  TestHttpClient client(port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendRaw(batch));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Response r = client.ReadResponse(30000);
+    ASSERT_TRUE(r.ok) << "pipelined response " << i;
+    ASSERT_EQ(r.status, 200);
+    EXPECT_EQ(r.body, expected[i]) << "pipelined response " << i;
+  }
+
+  for (size_t i : {size_t{0}, size_t{1}}) {
+    TestHttpClient old(port());
+    ASSERT_TRUE(old.connected());
+    ASSERT_TRUE(old.SendRaw("GET /sparql?query=" +
+                            testhttp::UrlEncode(queries[i]) +
+                            " HTTP/1.0\r\n\r\n"));
+    const std::string answer = old.ReadAll(30000);
+    const size_t body_at = answer.find("\r\n\r\n");
+    ASSERT_NE(body_at, std::string::npos);
+    EXPECT_EQ(answer.find("Transfer-Encoding"), std::string::npos);
+    EXPECT_EQ(answer.substr(body_at + 4), expected[i]) << "HTTP/1.0 " << i;
   }
 }
 

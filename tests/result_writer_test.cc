@@ -418,6 +418,59 @@ TEST_F(ResultWriterDifferentialTest, FormatResultsMatchesOracleInEveryFormat) {
               OracleRender(format, {"x", "y"}, raw, 0, dict_));
 }
 
+// Every byte the eight-byte escape test must catch (quote, backslash, the
+// control bytes and the ones N-Triples escapes) and every near miss of its
+// comparisons, at every offset of strings of 0 to 40 bytes — so each sits
+// in a clean-word position, a dirty word and the tail — as IRIs, literal
+// values, language tags and datatypes, in every format. Each row is
+// written twice, so the second copy comes from the columns' cached cells.
+TEST_F(ResultWriterDifferentialTest, EscapeBoundariesMatchOracle) {
+  const unsigned char kBytes[] = {0x00, 0x1f, '"',  '\\', '\n',
+                                  '\r', '\t', 0x20, 0x21, 0x23,
+                                  0x5b, 0x5d, 0x7f, 0x80, 0xff};
+  std::vector<std::string> texts = {""};
+  for (size_t len = 1; len <= 40; ++len) {
+    for (unsigned char b : kBytes) {
+      for (size_t at = 0; at < len; ++at) {
+        std::string text(len, 'a');
+        text[at] = static_cast<char>(b);
+        texts.push_back(std::move(text));
+      }
+    }
+  }
+  Dictionary dict;
+  std::vector<std::vector<TermId>> rows;
+  for (const std::string& text : texts) {
+    std::vector<TermId> row = {
+        dict.Encode(Term::Iri(text)), dict.Encode(Term::Literal(text)),
+        dict.Encode(Term::LangLiteral("v", text)),
+        dict.Encode(Term::TypedLiteral("v", text))};
+    rows.push_back(row);
+    rows.push_back(std::move(row));
+  }
+  const std::vector<std::string> names = {"iri", "value", "lang", "datatype"};
+  for (WireFormat format : kAllFormats) {
+    VarTable vars;
+    std::vector<VarId> schema;
+    for (const std::string& n : names) schema.push_back(vars.Intern(n));
+    CollectingSink sink;
+    StreamingResultWriter writer(format, sink.AsSink());
+    ASSERT_TRUE(writer.BeginSelect(schema, vars));
+    for (const auto& row : rows)
+      ASSERT_TRUE(writer.WriteRow(row.data(), row.size(), dict));
+    ASSERT_TRUE(writer.Finish());
+    EXPECT_TRUE(sink.Joined() == OracleRender(format, names, rows, 0, dict))
+        << "format " << static_cast<int>(format);
+  }
+  for (const std::string& text : texts) {
+    std::string expected;
+    OracleJsonString(text, &expected);
+    std::string got;
+    AppendJsonString(text, &got);
+    EXPECT_EQ(got, expected);
+  }
+}
+
 // WriteTriples names a CONSTRUCT answer's columns from a VarTable of its
 // own, separate from the query's: the JSON keys must come from the table
 // passed to BeginSelect, which need not outlive that call.
