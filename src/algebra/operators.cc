@@ -38,8 +38,8 @@ namespace {
 /// Order contract: a probe row whose key is fully bound sees its bucket's
 /// rows ascending, then the compatible partial rows ascending; a probe row
 /// with an unbound key cell sees every compatible row of the range
-/// ascending. An explicit [b_begin, b_end) is how ParallelJoin shards one
-/// build across workers; reported row indices are absolute either way.
+/// ascending. An explicit [b_begin, b_end) is how a fanned-out Join shards
+/// one build across workers; reported row indices are absolute either way.
 class CompatFinder {
  public:
   CompatFinder(const BindingSet& a, const BindingSet& b, size_t b_begin = 0,
@@ -269,7 +269,8 @@ void WritePadded(const TermId* ra, size_t aw, RowWriter* out) {
 }  // namespace
 
 BindingSet Join(const BindingSet& a, const BindingSet& b,
-                const CancelToken* cancel) {
+                const CancelToken* cancel, const ParallelSpec& spec,
+                uint64_t* morsels) {
   CancelCheckpoint chk(cancel);
   RowWriter out(MergedSchema(a, b));
   if (a.empty() || b.empty()) return out.Finish();
@@ -289,115 +290,98 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
       }
     return out.Finish();
   }
-  // Hash the smaller side, probe with the larger: either orientation
-  // yields the same bag.
-  const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
-  const std::vector<size_t> extra = ExtraCols(a, b);
-  // A cross product has at least as many rows as its larger side.
-  if (common.empty()) out.Reserve(std::max(a.size(), b.size()));
-  if (a.size() <= b.size()) {
-    // Build on a: iterate b, look up compatible a-rows.
-    CompatFinder finder(b, a);
-    for (size_t rb = 0; rb < b.size(); ++rb) {
-      chk.Poll();
-      finder.ForEachCompatible(rb, [&](size_t ra) {
-        chk.Poll();
-        WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
-      });
-    }
-  } else {
-    CompatFinder finder(a, b);
-    for (size_t ra = 0; ra < a.size(); ++ra) {
-      chk.Poll();
-      finder.ForEachCompatible(ra, [&](size_t rb) {
-        chk.Poll();
-        WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
-      });
-    }
-  }
-  return out.Finish();
-}
-
-BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
-                        const CancelToken* cancel, const ParallelSpec& spec,
-                        uint64_t* morsels) {
-  // Degenerate shapes (empty inputs, zero-width sides) take cheap special
-  // paths inside Join; only the hash-probe loop is worth fanning out.
-  if (!spec.enabled() || a.empty() || b.empty() || a.width() == 0 ||
-      b.width() == 0 || a.size() + b.size() <= spec.morsel_size)
-    return Join(a, b, cancel);
-
-  // Same orientation rule as Join — build on the smaller side, stream the
-  // larger — so the output row order matches the sequential join exactly.
+  // Hash the smaller side (the build), stream the larger: either
+  // orientation yields the same bag, and the rule fixes the row order.
   const bool stream_is_b = a.size() <= b.size();
   const BindingSet& stream = stream_is_b ? b : a;
   const BindingSet& build = stream_is_b ? a : b;
-
-  std::vector<VarId> schema = MergedSchema(a, b);
   const std::vector<std::pair<size_t, size_t>> common = CommonCols(a, b);
   const std::vector<size_t> extra = ExtraCols(a, b);
 
-  // Parallel hash build: shard the build side into contiguous row slices,
-  // each indexed by its own CompatFinder. A probe walks the shards in slice
-  // order, so matches surface in ascending build-row order — exactly the
-  // single-finder bucket order — as long as no build row carries an unbound
-  // join-key cell (those are emitted after bucket matches, which sharding
-  // would interleave). Detect that case and collapse to one shard.
-  bool build_has_unbound = false;
-  for (size_t r = 0; r < build.size() && !build_has_unbound; ++r) {
-    const TermId* row = build.Row(r);
-    for (const auto& [ca, cb] : common) {
-      if (row[stream_is_b ? ca : cb] == kUnboundTerm) {
-        build_has_unbound = true;
-        break;
+  // One shard and one morsel unless the spec allows fanning out and the
+  // inputs exceed a morsel. The build side is then sharded into
+  // contiguous row slices, each indexed by its own CompatFinder. A probe
+  // walks the shards in slice order, so matches surface in ascending
+  // build-row order — exactly the single-finder bucket order — as long as
+  // no build row carries an unbound join-key cell (those are emitted after
+  // bucket matches, which sharding would interleave); that case keeps one
+  // shard. The streamed side is probed in morsels whose outputs
+  // concatenate in morsel order, reproducing the one-morsel probe order.
+  const bool fan_out =
+      spec.enabled() && a.size() + b.size() > spec.morsel_size;
+  size_t num_shards = 1;
+  size_t num_morsels = 1;
+  if (fan_out) {
+    bool build_has_unbound = false;
+    for (size_t r = 0; r < build.size() && !build_has_unbound; ++r) {
+      const TermId* row = build.Row(r);
+      for (const auto& [ca, cb] : common) {
+        if (row[stream_is_b ? ca : cb] == kUnboundTerm) {
+          build_has_unbound = true;
+          break;
+        }
       }
     }
+    if (!build_has_unbound)
+      num_shards = std::max<size_t>(
+          1, std::min(spec.EffectiveWorkers(), spec.MorselCount(build.size())));
+    num_morsels = spec.MorselCount(stream.size());
+    if (morsels != nullptr)
+      *morsels += num_morsels + (num_shards > 1 ? num_shards : 0);
   }
-  size_t num_shards =
-      build_has_unbound
-          ? 1
-          : std::max<size_t>(1, std::min(spec.EffectiveWorkers(),
-                                         spec.MorselCount(build.size())));
-  size_t shard_rows = (build.size() + num_shards - 1) / num_shards;
+
+  const size_t shard_rows = (build.size() + num_shards - 1) / num_shards;
   std::vector<std::optional<CompatFinder>> shards(num_shards);
-  spec.pool->ParallelFor(num_shards, spec.EffectiveWorkers(), [&](size_t i) {
+  auto build_shard = [&](size_t i) {
     size_t begin = i * shard_rows;
     size_t end = std::min(begin + shard_rows, build.size());
     shards[i].emplace(stream, build, begin, end);
-  });
-
-  // Morsel-parallel probe of the streamed side. Each morsel emits into its
-  // own BindingSet; concatenating them in morsel order reproduces the
-  // sequential probe order.
-  size_t num_morsels = spec.MorselCount(stream.size());
-  size_t morsel_rows = (stream.size() + num_morsels - 1) / num_morsels;
-  std::vector<BindingSet> outs(num_morsels);
-  spec.pool->ParallelFor(num_morsels, spec.EffectiveWorkers(), [&](size_t m) {
-    CancelCheckpoint chk(cancel);
-    RowWriter out(schema);
-    size_t begin = m * morsel_rows;
-    size_t end = std::min(begin + morsel_rows, stream.size());
+  };
+  // Writes the joins of streamed rows [begin, end) into `dst`.
+  auto probe = [&](size_t begin, size_t end, CancelCheckpoint& poll,
+                   RowWriter* dst) {
     for (size_t si = begin; si < end; ++si) {
-      chk.Poll();
+      poll.Poll();
+      const TermId* rs = stream.Row(si);
       for (const auto& shard : shards) {
         shard->ForEachCompatible(si, [&](size_t bi) {
-          chk.Poll();
-          size_t ra = stream_is_b ? bi : si;
-          size_t rb = stream_is_b ? si : bi;
-          WriteMerged(a.Row(ra), a.width(), b.Row(rb), common, extra, &out);
+          poll.Poll();
+          const TermId* rt = build.Row(bi);
+          WriteMerged(stream_is_b ? rt : rs, a.width(), stream_is_b ? rs : rt,
+                      common, extra, dst);
         });
       }
     }
-    outs[m] = out.Finish();
-  });
-  if (morsels != nullptr)
-    *morsels += num_morsels + (num_shards > 1 ? num_shards : 0);
+  };
 
-  BindingSet result(std::move(schema));
+  if (num_shards == 1) {
+    build_shard(0);
+  } else {
+    spec.pool->ParallelFor(num_shards, spec.EffectiveWorkers(), build_shard);
+  }
+  if (num_morsels == 1) {
+    // A cross product has at least as many rows as its larger side.
+    if (common.empty()) out.Reserve(stream.size());
+    probe(0, stream.size(), chk, &out);
+    return out.Finish();
+  }
+
+  const size_t morsel_rows = (stream.size() + num_morsels - 1) / num_morsels;
+  const std::vector<VarId> schema = MergedSchema(a, b);
+  std::vector<BindingSet> outs(num_morsels);
+  spec.pool->ParallelFor(num_morsels, spec.EffectiveWorkers(), [&](size_t m) {
+    CancelCheckpoint morsel_chk(cancel);
+    RowWriter morsel_out(schema);
+    size_t begin = m * morsel_rows;
+    size_t end = std::min(begin + morsel_rows, stream.size());
+    probe(begin, end, morsel_chk, &morsel_out);
+    outs[m] = morsel_out.Finish();
+  });
+  BindingSet result = out.Finish();
   size_t total = 0;
-  for (const BindingSet& out : outs) total += out.size();
+  for (const BindingSet& o : outs) total += o.size();
   result.Reserve(total);
-  for (const BindingSet& out : outs) result.Append(out);
+  for (const BindingSet& o : outs) result.Append(o);
   return result;
 }
 

@@ -5,16 +5,16 @@
 // compatible with anything, which is what makes OPTIONAL-produced partial
 // mappings join correctly.
 //
-// Join, ParallelJoin, LeftOuterJoin and Minus build one flat CSR table
-// over the smaller side: a directory from each distinct join key (hashed
-// in place from the row cells) to a bucket, and one row-index array
-// holding every bucket's rows in build-row order. Build rows with an
-// unbound key cell are listed apart. A probe row with a bound key meets
-// its bucket's rows ascending, then the compatible unbound-key rows
-// ascending; a probe row with an unbound key cell meets every compatible
-// build row ascending. That order fixes the output row order. Every
-// operator writes its output rows in place through a RowWriter: no
-// per-row or per-key heap containers.
+// Join, LeftOuterJoin and Minus build one flat CSR table over the
+// smaller side (a fanned-out Join builds one per build shard): a
+// directory from each distinct join key (hashed in place from the row
+// cells) to a bucket, and one row-index array holding every bucket's rows
+// in build-row order. Build rows with an unbound key cell are listed
+// apart. A probe row with a bound key meets its bucket's rows ascending,
+// then the compatible unbound-key rows ascending; a probe row with an
+// unbound key cell meets every compatible build row ascending. That order
+// fixes the output row order. Every operator writes its output rows in
+// place through a RowWriter: no per-row or per-key heap containers.
 #pragma once
 
 #include "algebra/binding_set.h"
@@ -29,18 +29,16 @@ namespace sparqluo {
 /// `cancel` (nullable) is polled per emitted row: join output can be
 /// |Ω1|·|Ω2|, so without a checkpoint here a join-dominated query could
 /// overshoot its deadline without bound.
+///
+/// With `spec` enabled and more than a morsel of input, the hash build over
+/// the smaller side is sharded across `spec.pool` and the larger side is
+/// probed in independent morsels whose outputs concatenate in morsel order:
+/// the output (schema and row order) is bit-identical to the one-shard,
+/// one-morsel join. `morsels` (nullable) accumulates the number of
+/// parallel tasks issued.
 BindingSet Join(const BindingSet& a, const BindingSet& b,
-                const CancelToken* cancel = nullptr);
-
-/// Join with output bit-identical to Join (same schema, same row order),
-/// computed morsel-parallel on `spec.pool`: the hash build over the smaller
-/// side is sharded across workers and the larger side is probed in
-/// independent morsels whose outputs concatenate in morsel order. Falls
-/// back to Join for degenerate shapes or a disabled spec. `morsels`
-/// (nullable) accumulates the number of parallel tasks issued.
-BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
-                        const CancelToken* cancel, const ParallelSpec& spec,
-                        uint64_t* morsels = nullptr);
+                const CancelToken* cancel = nullptr,
+                const ParallelSpec& spec = {}, uint64_t* morsels = nullptr);
 
 /// Ω1 ∪_bag Ω2 over the union schema (missing columns padded unbound).
 BindingSet UnionBag(const BindingSet& a, const BindingSet& b);

@@ -31,6 +31,39 @@ void BeNode::CollectVariables(std::vector<VarId>* out) const {
   for (const auto& c : children) c->CollectVariables(out);
 }
 
+void BeNode::CollectCertainVariables(std::vector<VarId>* out) const {
+  switch (type) {
+    case Type::kBgp:
+    case Type::kPath:
+      CollectVariables(out);
+      return;
+    case Type::kGroup:
+      for (const auto& c : children) c->CollectCertainVariables(out);
+      return;
+    case Type::kUnion: {
+      auto contains = [](const std::vector<VarId>& vars, VarId v) {
+        return std::find(vars.begin(), vars.end(), v) != vars.end();
+      };
+      std::vector<VarId> common;
+      children[0]->CollectCertainVariables(&common);
+      for (size_t b = 1; b < children.size(); ++b) {
+        std::vector<VarId> branch;
+        children[b]->CollectCertainVariables(&branch);
+        common.erase(
+            std::remove_if(common.begin(), common.end(),
+                           [&](VarId v) { return !contains(branch, v); }),
+            common.end());
+      }
+      for (VarId v : common)
+        if (!contains(*out, v)) out->push_back(v);
+      return;
+    }
+    case Type::kOptional:
+    case Type::kFilter:
+      return;
+  }
+}
+
 namespace {
 
 Status ValidateNode(const BeNode& node, bool is_root) {

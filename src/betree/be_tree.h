@@ -49,6 +49,12 @@ struct BeNode {
 
   /// All variables that can be bound under this node.
   void CollectVariables(std::vector<VarId>* out) const;
+
+  /// Adds to `out` the variables bound in every row of this node's result:
+  /// those of BGPs and paths, of nested groups' certain variables, and
+  /// those every UNION branch binds certainly. OPTIONAL and FILTER nodes
+  /// add none.
+  void CollectCertainVariables(std::vector<VarId>* out) const;
 };
 
 /// A BE-tree: the plan representation for one SPARQL-UO query. The root is

@@ -47,10 +47,20 @@ class BgpEngine {
   /// candidate set only take values from it. `counters` (nullable) collects
   /// instrumentation. `cancel` (nullable) is polled at evaluation
   /// checkpoints; a fired token aborts with a CancelledError that the
-  /// Executor converts to a ResourceExhausted status.
+  /// Executor converts to a ResourceExhausted status. When `spec` is
+  /// enabled, heavy per-row work is split into morsels fanned out over
+  /// `spec.pool` (morsel-driven, as in aggregates and property paths);
+  /// the result (schema and row order) is bit-identical either way.
   virtual BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
                               BgpEvalCounters* counters,
-                              const CancelToken* cancel) const = 0;
+                              const CancelToken* cancel,
+                              const ParallelSpec& spec) const = 0;
+
+  BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
+                      BgpEvalCounters* counters,
+                      const CancelToken* cancel) const {
+    return Evaluate(bgp, cands, counters, cancel, ParallelSpec{});
+  }
 
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
                       BgpEvalCounters* counters) const {
@@ -59,18 +69,6 @@ class BgpEngine {
 
   BindingSet Evaluate(const Bgp& bgp) const {
     return Evaluate(bgp, nullptr, nullptr, nullptr);
-  }
-
-  /// Morsel-driven evaluation: identical contract and bit-identical result
-  /// (schema and row order) to Evaluate, but heavy per-row work is fanned
-  /// out over `spec.pool`. Engines without a parallel path fall back to the
-  /// sequential Evaluate, as does a disabled spec.
-  virtual BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                                      BgpEvalCounters* counters,
-                                      const CancelToken* cancel,
-                                      const ParallelSpec& spec) const {
-    (void)spec;
-    return Evaluate(bgp, cands, counters, cancel);
   }
 
   /// cost(P): estimated evaluation cost of the BGP under this engine's join

@@ -12,9 +12,9 @@ namespace {
 
 /// The rows of `range` matching the resolved pattern `r`, over `schema`
 /// (the pattern's variables), after repeated-variable
-/// consistency and candidate-set filtering. Shared by the sequential scan
-/// and by each morsel of the parallel scan — morsels over consecutive
-/// slices of one matched range concatenate to the sequential scan's rows.
+/// consistency and candidate-set filtering. ScanPattern runs it once over
+/// the whole range or once per morsel — morsels over consecutive slices of
+/// one matched range concatenate to the whole range's rows.
 BindingSet ScanRange(const TripleStore::MatchedRange& range,
                      const ResolvedPattern& r, const std::vector<VarId>& schema,
                      const CandidateMap* cands, BgpEvalCounters* counters,
@@ -52,25 +52,8 @@ BindingSet ScanRange(const TripleStore::MatchedRange& range,
 BindingSet HashJoinEngine::ScanPattern(const TriplePattern& t,
                                        const CandidateMap* cands,
                                        BgpEvalCounters* counters,
-                                       CancelCheckpoint* chk) const {
-  std::vector<VarId> schema = t.Variables();
-  ResolvedPattern r = Resolve(t, dict_);
-  if (r.missing_const) return BindingSet(schema);
-  TriplePatternIds q;
-  q.s = r.sv == kInvalidVarId ? r.s : kInvalidTermId;
-  q.p = r.pv == kInvalidVarId ? r.p : kInvalidTermId;
-  q.o = r.ov == kInvalidVarId ? r.o : kInvalidTermId;
-  if (counters) ++counters->index_probes;
-  BindingSet out = ScanRange(store_.Match(q), r, schema, cands, counters, chk);
-  if (counters) counters->rows_materialized += out.size();
-  return out;
-}
-
-BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
-                                               const CandidateMap* cands,
-                                               BgpEvalCounters* counters,
-                                               const CancelToken* cancel,
-                                               const ParallelSpec& spec) const {
+                                       const CancelToken* cancel,
+                                       const ParallelSpec& spec) const {
   std::vector<VarId> schema = t.Variables();
   BindingSet out(schema);
   ResolvedPattern r = Resolve(t, dict_);
@@ -117,36 +100,8 @@ BindingSet HashJoinEngine::ParallelScanPattern(const TriplePattern& t,
 
 BindingSet HashJoinEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                     BgpEvalCounters* counters,
-                                    const CancelToken* cancel) const {
-  std::vector<VarId> all_vars = bgp.Variables();
-  if (bgp.triples.empty()) {
-    BindingSet unit(all_vars);
-    unit.AppendEmptyMappings(1);
-    return unit;
-  }
-  CancelCheckpoint chk(cancel);
-  chk.Poll();
-  std::vector<size_t> order = estimator_.GreedyOrder(bgp);
-  BindingSet acc = ScanPattern(bgp.triples[order[0]], cands, counters, &chk);
-  for (size_t k = 1; k < order.size(); ++k) {
-    if (acc.empty()) break;
-    chk.Poll();
-    BindingSet next = ScanPattern(bgp.triples[order[k]], cands, counters, &chk);
-    acc = Join(acc, next, cancel);
-    if (counters) counters->rows_materialized += acc.size();
-  }
-  // Normalize the schema to bgp.Variables() order. All variables are bound
-  // by construction (every pattern's table carries its own variables).
-  if (acc.schema() != all_vars) acc = acc.Project(all_vars);
-  return acc;
-}
-
-BindingSet HashJoinEngine::ParallelEvaluate(const Bgp& bgp,
-                                            const CandidateMap* cands,
-                                            BgpEvalCounters* counters,
-                                            const CancelToken* cancel,
-                                            const ParallelSpec& spec) const {
-  if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
+                                    const CancelToken* cancel,
+                                    const ParallelSpec& spec) const {
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet unit(all_vars);
@@ -157,16 +112,18 @@ BindingSet HashJoinEngine::ParallelEvaluate(const Bgp& bgp,
   chk.Poll();
   std::vector<size_t> order = estimator_.GreedyOrder(bgp);
   BindingSet acc =
-      ParallelScanPattern(bgp.triples[order[0]], cands, counters, cancel, spec);
+      ScanPattern(bgp.triples[order[0]], cands, counters, cancel, spec);
   for (size_t k = 1; k < order.size(); ++k) {
     if (acc.empty()) break;
     chk.Poll();
-    BindingSet next = ParallelScanPattern(bgp.triples[order[k]], cands,
-                                          counters, cancel, spec);
-    acc = ParallelJoin(acc, next, cancel, spec,
-                       counters != nullptr ? &counters->morsels : nullptr);
+    BindingSet next =
+        ScanPattern(bgp.triples[order[k]], cands, counters, cancel, spec);
+    acc = Join(acc, next, cancel, spec,
+               counters != nullptr ? &counters->morsels : nullptr);
     if (counters) counters->rows_materialized += acc.size();
   }
+  // Normalize the schema to bgp.Variables() order. All variables are bound
+  // by construction (every pattern's table carries its own variables).
   if (acc.schema() != all_vars) acc = acc.Project(all_vars);
   return acc;
 }

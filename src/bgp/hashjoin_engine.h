@@ -22,37 +22,29 @@ class HashJoinEngine : public BgpEngine {
 
   const char* name() const override { return "Jena-HashJoin"; }
 
-  BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters,
-                      const CancelToken* cancel) const override;
+  using BgpEngine::Evaluate;
 
-  /// Morsel-driven evaluation, bit-identical to Evaluate: pattern scans are
-  /// partitioned over the store's sorted index ranges and each binary join
-  /// runs as a sharded hash build plus a morsel-parallel probe
-  /// (ParallelJoin). Per-morsel tables concatenate in morsel order, so the
-  /// row order matches the sequential pipeline exactly.
-  BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                              BgpEvalCounters* counters,
-                              const CancelToken* cancel,
-                              const ParallelSpec& spec) const override;
+  /// Scans the patterns in greedy order and joins each into the
+  /// accumulated table. With `spec` enabled, a large pattern scan is
+  /// partitioned over the store's sorted index range and a large binary
+  /// join runs as a sharded hash build plus a morsel-parallel probe
+  /// (Join with a spec). Per-morsel tables concatenate in morsel order, so
+  /// the row order does not depend on the spec.
+  BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
+                      BgpEvalCounters* counters, const CancelToken* cancel,
+                      const ParallelSpec& spec) const override;
 
   double EstimateCost(const Bgp& bgp) const override;
 
   const CardinalityEstimator& estimator() const override { return estimator_; }
 
  private:
-  /// Scans one triple pattern into a binding table.
+  /// Scans one triple pattern into a binding table; with `spec` enabled,
+  /// the matched index range is split into morsels whose tables
+  /// concatenate to the one-morsel scan's rows.
   BindingSet ScanPattern(const TriplePattern& t, const CandidateMap* cands,
-                         BgpEvalCounters* counters,
-                         CancelCheckpoint* chk) const;
-
-  /// ScanPattern with the matched index range split into morsels; the
-  /// concatenated result is bit-identical to the sequential scan.
-  BindingSet ParallelScanPattern(const TriplePattern& t,
-                                 const CandidateMap* cands,
-                                 BgpEvalCounters* counters,
-                                 const CancelToken* cancel,
-                                 const ParallelSpec& spec) const;
+                         BgpEvalCounters* counters, const CancelToken* cancel,
+                         const ParallelSpec& spec) const;
 
   const TripleStore& store_;
   const Dictionary& dict_;

@@ -673,7 +673,8 @@ BindingSet RangeCopy(const TripleStore& store, const Statistics& stats,
 
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                BgpEvalCounters* counters,
-                               const CancelToken* cancel) const {
+                               const CancelToken* cancel,
+                               const ParallelSpec& spec) const {
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);
@@ -684,37 +685,12 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   chk.Poll();
   WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
-  if (IsRangeCopy(plan))
-    return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
-  FlatRows unit;  // one empty partial binding
-  unit.count = 1;
-  std::vector<FlatRows> parts;
-  parts.push_back(CompleteRows(store_, plan, 0, std::move(unit), cands,
-                               counters, cancel));
-  return EmitRows(parts, plan, all_vars);
-}
-
-BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                                       BgpEvalCounters* counters,
-                                       const CancelToken* cancel,
-                                       const ParallelSpec& spec) const {
-  if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
-  std::vector<VarId> all_vars = bgp.Variables();
-  if (bgp.triples.empty()) {
-    BindingSet result(all_vars);
-    result.AppendEmptyMappings(1);
-    return result;
-  }
-  CancelCheckpoint chk(cancel);
-  chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
-  if (plan.definitely_empty) return BindingSet(all_vars);
   if (IsRangeCopy(plan))  // one scan of one range: nothing to split
     return RangeCopy(store_, stats_, plan, cands, all_vars, counters, cancel);
 
-  // Seed step: bind the first core variable sequentially (one index scan),
-  // producing the partial bindings the morsels partition.
-  FlatRows seeds;
+  // Seed step: bind the first core variable (one index scan), producing
+  // the partial bindings the morsels partition.
+  FlatRows seeds;  // one empty partial binding
   seeds.count = 1;
   size_t first_step = 0;
   if (!plan.var_order.empty()) {
@@ -724,10 +700,9 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
     if (seeds.count == 0) return BindingSet(all_vars);
   }
 
-  size_t num_morsels = spec.MorselCount(seeds.count);
+  const size_t num_morsels = spec.MorselCount(seeds.count);
   std::vector<FlatRows> parts;
-  if (num_morsels <= 1) {
-    // Too little seed fan-out to split: finish sequentially.
+  if (!spec.enabled() || num_morsels <= 1) {
     parts.push_back(CompleteRows(store_, plan, first_step, std::move(seeds),
                                  cands, counters, cancel));
     return EmitRows(parts, plan, all_vars);

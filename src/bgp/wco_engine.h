@@ -48,21 +48,18 @@ class WcoEngine : public BgpEngine {
 
   const char* name() const override { return "gStore-WCO"; }
 
-  BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters,
-                      const CancelToken* cancel) const override;
+  using BgpEngine::Evaluate;
 
-  /// Morsel-driven evaluation, bit-identical to Evaluate: the seed
-  /// variable's bindings are produced sequentially, split into contiguous
-  /// morsels, and each morsel runs the remaining vertex extensions and
-  /// residual expansion independently. Morsel outputs
-  /// concatenate in seed order, which is already the sorted order unless
-  /// residual patterns ran; then the global sort+dedup (shared with the
-  /// sequential path) makes the merge deterministic.
-  BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                              BgpEvalCounters* counters,
-                              const CancelToken* cancel,
-                              const ParallelSpec& spec) const override;
+  /// The first extension step binds the seed variable over all rows.
+  /// With `spec` enabled and more than one morsel of seeds, they are split
+  /// into contiguous morsels, each running the remaining vertex extensions
+  /// and residual expansion independently; otherwise the same remaining
+  /// work runs over all seeds at once. Morsel outputs concatenate in seed
+  /// order, which is already the sorted order unless residual patterns
+  /// ran; then the global sort+dedup makes the merge deterministic.
+  BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
+                      BgpEvalCounters* counters, const CancelToken* cancel,
+                      const ParallelSpec& spec) const override;
 
   /// The column order rows are built in: the extension order, then the
   /// variables residual (variable-predicate) patterns bind. Without

@@ -15,38 +15,6 @@ bool Contains(const std::vector<VarId>& vars, VarId v) {
   return std::find(vars.begin(), vars.end(), v) != vars.end();
 }
 
-/// Adds to `out` the variables bound in every row of `node`'s result: those
-/// of BGPs and paths, of nested groups' certain variables, and those every
-/// UNION branch binds certainly. OPTIONAL and FILTER children add none.
-void CollectCertainVariables(const BeNode& node, std::vector<VarId>* out) {
-  switch (node.type) {
-    case BeNode::Type::kBgp:
-    case BeNode::Type::kPath:
-      node.CollectVariables(out);
-      return;
-    case BeNode::Type::kGroup:
-      for (const auto& c : node.children) CollectCertainVariables(*c, out);
-      return;
-    case BeNode::Type::kUnion: {
-      std::vector<VarId> common;
-      CollectCertainVariables(*node.children[0], &common);
-      for (size_t b = 1; b < node.children.size(); ++b) {
-        std::vector<VarId> branch;
-        CollectCertainVariables(*node.children[b], &branch);
-        common.erase(std::remove_if(common.begin(), common.end(),
-                                    [&](VarId v) { return !Contains(branch, v); }),
-                     common.end());
-      }
-      for (VarId v : common)
-        if (!Contains(*out, v)) out->push_back(v);
-      return;
-    }
-    case BeNode::Type::kOptional:
-    case BeNode::Type::kFilter:
-      return;
-  }
-}
-
 /// Step 1 for kids[begin, end): every child group gives up the longest
 /// suffix of its trailing OPTIONALs whose bodies share with the parent's
 /// other children only variables certain in what the group keeps. The
@@ -69,7 +37,8 @@ size_t PostponeOptionals(std::vector<std::unique_ptr<BeNode>>* kids,
         (*kids)[j]->CollectVariables(&kid_vars[j]);
     }
     std::vector<VarId> certain;
-    for (size_t k = 0; k < keep; ++k) CollectCertainVariables(*sub[k], &certain);
+    for (size_t k = 0; k < keep; ++k)
+      sub[k]->CollectCertainVariables(&certain);
     auto postponable = [&](const BeNode& optional) {
       std::vector<VarId> body;
       optional.CollectVariables(&body);

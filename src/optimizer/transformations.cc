@@ -86,8 +86,9 @@ bool SafeToInsert(const BeNode& group, const std::vector<VarId>& p1_vars) {
       for (VarId v : p1_vars)
         if (ContainsVar(evars, v) && !ContainsVar(certain, v)) return false;
     } else {
-      // Non-OPTIONAL elements bind their variables in every result row.
-      e->CollectVariables(&certain);
+      // A UNION branch's or a FILTER's variables are not bound in every
+      // result row: only the certain ones cover the OPTIONAL's base.
+      e->CollectCertainVariables(&certain);
     }
   }
   return true;
@@ -111,7 +112,7 @@ bool SafeToRelocateAcross(const BeNode& group, size_t lo, size_t hi,
           if (ContainsVar(evars, v) && !ContainsVar(certain, v)) return false;
       }
     } else if (k != p1_idx) {
-      e.CollectVariables(&certain);
+      e.CollectCertainVariables(&certain);
     }
   }
   return true;

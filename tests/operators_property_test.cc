@@ -1,9 +1,9 @@
 // Seeded property test of the bag operators' row output: Join,
-// LeftOuterJoin, Minus and ParallelJoin (parallelism 1/2/8 with morsels of
-// 1/64 rows) over random BindingSets with 0-3 shared columns, unbound
-// cells on either side, duplicate keys, zero-width and empty sides, and
-// either side the larger. Each result must equal a nested-loop reference
-// row for row: same schema, same cells, same order.
+// LeftOuterJoin, Minus and Join with a ParallelSpec (parallelism 1/2/8
+// with morsels of 1/64 rows) over random BindingSets with 0-3 shared
+// columns, unbound cells on either side, duplicate keys, zero-width and
+// empty sides, and either side the larger. Each result must equal a
+// nested-loop reference row for row: same schema, same cells, same order.
 //
 // The reference spells out the operators' order contract. The smaller
 // side is the build side (a on ties), the other side is streamed in row
@@ -225,7 +225,7 @@ TEST_F(OperatorsPropertyTest, OperatorsMatchNestedLoopReferenceRowForRow) {
     for (std::vector<VarId>* s : {&sa, &sb})
       for (size_t i = s->size(); i > 1; --i)
         std::swap((*s)[i - 1], (*s)[rng.Uniform(i)]);
-    // Sizes up to 150 rows: past the 64-row morsel so ParallelJoin fans out.
+    // Sizes up to 150 rows: past the 64-row morsel so Join fans out.
     const size_t na = rng.Bernoulli(0.1) ? 0 : rng.Range(1, 150);
     const size_t nb = rng.Bernoulli(0.1) ? 0 : rng.Range(1, 150);
     const BindingSet a = RandomBag(&rng, sa, na, rng.Bernoulli(0.5) ? 0.2 : 0);
@@ -242,8 +242,8 @@ TEST_F(OperatorsPropertyTest, OperatorsMatchNestedLoopReferenceRowForRow) {
         spec.pool = &pool_;
         spec.parallelism = parallelism;
         spec.morsel_size = morsel;
-        ASSERT_TRUE(SameRows(ParallelJoin(a, b, nullptr, spec), join))
-            << "ParallelJoin parallelism=" << parallelism
+        ASSERT_TRUE(SameRows(Join(a, b, nullptr, spec), join))
+            << "Join parallelism=" << parallelism
             << " morsel=" << morsel;
       }
     }

@@ -335,6 +335,83 @@ TEST_F(OptimizerTest, Theorem2InjectEquivalenceOnData) {
   EXPECT_TRUE(BagEquals(*r1, *r2));
 }
 
+// --------------------------------- Guards: certain variables only -----
+
+/// Merge and inject must not relocate P1 = `?a :p ?x` into a group whose
+/// OPTIONAL { ?x :q ?y } sees ?x as bound only because one UNION branch
+/// (`?a :u ?x`, matching nothing here) could bind it. On this data that
+/// OPTIONAL matches only while ?x is unbound, so re-basing it on P1 changes
+/// the answer.
+class CertainGuardTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto iri = [](const std::string& s) {
+      return Term::Iri("http://ex.org/" + s);
+    };
+    db_.AddTriple(iri("a1"), iri("p"), iri("x1"));
+    db_.AddTriple(iri("a1"), iri("t"), iri("b1"));
+    db_.AddTriple(iri("a1"), iri("v"), iri("w1"));
+    db_.AddTriple(iri("x2"), iri("q"), iri("y2"));
+    db_.Finalize(EngineKind::kWco);
+  }
+
+  /// The BE-tree of `body`, whose root children 0 and 1 are the guard's
+  /// BGP and its UNION or OPTIONAL sibling.
+  BeTree Build(const std::string& body) {
+    auto q = db_.Parse("SELECT * WHERE " + body);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return BuildBeTree(*q);
+  }
+
+  /// Every execution mode answers `body` as the binary-tree oracle does:
+  /// one row with `bound` bound cells.
+  void ExpectModesMatchOracle(const std::string& body, size_t bound) {
+    BinaryTreeEvaluator oracle(db_.store(), db_.dict());
+    auto want = oracle.Execute(*db_.Parse("SELECT * WHERE " + body));
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(want->size(), 1u);
+    size_t cells = 0;
+    for (size_t c = 0; c < want->width(); ++c)
+      cells += want->Row(0)[c] != kUnboundTerm;
+    EXPECT_EQ(cells, bound);
+    for (const ExecOptions& opts : {ExecOptions::Base(), ExecOptions::TT(),
+                                    ExecOptions::CP(), ExecOptions::Full()}) {
+      auto got = db_.Query("SELECT * WHERE " + body, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(BagEquals(*want, *got))
+          << "tree_transform=" << opts.tree_transform
+          << " candidate_pruning=" << opts.candidate_pruning;
+    }
+  }
+
+  Database db_;
+};
+
+constexpr const char* kUncertainBody =
+    "{ ?a <http://ex.org/t> ?b . "
+    "{ ?a <http://ex.org/u> ?x } UNION { ?a <http://ex.org/v> ?w } "
+    "OPTIONAL { ?x <http://ex.org/q> ?y } }";
+
+TEST_F(CertainGuardTest, InjectSkipsVariableBoundInOneUnionBranch) {
+  const std::string body =
+      std::string("{ ?a <http://ex.org/p> ?x . OPTIONAL ") + kUncertainBody +
+      " }";
+  BeTree t = Build(body);
+  ASSERT_TRUE(t.root->children[1]->is_optional());
+  EXPECT_FALSE(CanInject(*t.root, 0, 1));
+  ExpectModesMatchOracle(body, 2);
+}
+
+TEST_F(CertainGuardTest, MergeSkipsVariableBoundInOneUnionBranch) {
+  const std::string body = std::string("{ ?a <http://ex.org/p> ?x . ") +
+                           kUncertainBody +
+                           " UNION { ?a <http://ex.org/t> ?b } }";
+  BeTree t = Build(body);
+  ASSERT_TRUE(t.root->children[1]->is_union());
+  EXPECT_FALSE(CanMerge(*t.root, 0, 1));
+  ExpectModesMatchOracle(body, 3);
+}
+
 // ------------------------------------------------ OPTIONAL postponement ---
 
 /// `node` rendered with the children of every join run (BGP, group, UNION,

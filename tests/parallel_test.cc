@@ -1,5 +1,5 @@
 // Morsel-driven intra-query parallelism: bit-identical results, abort
-// behavior, the ExecutorPool primitive, and the deterministic ParallelJoin.
+// behavior, the ExecutorPool primitive, and the deterministic sharded Join.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,9 +94,9 @@ TEST(ExecutorPoolTest, MorselCountMath) {
   EXPECT_EQ(spec.MorselCount(1000), 10u);
 }
 
-// --- ParallelJoin determinism -------------------------------------------
+// --- Sharded Join determinism --------------------------------------------
 
-class ParallelJoinTest : public ::testing::Test {
+class ShardedJoinTest : public ::testing::Test {
  protected:
   void SetUp() override { pool_ = std::make_unique<ExecutorPool>(3); }
 
@@ -111,25 +111,25 @@ class ParallelJoinTest : public ::testing::Test {
   std::unique_ptr<ExecutorPool> pool_;
 };
 
-TEST_F(ParallelJoinTest, MatchesJoinOnSharedVariable) {
+TEST_F(ShardedJoinTest, MatchesJoinOnSharedVariable) {
   BindingSet a({1, 2}), b({2, 3});
   for (TermId i = 1; i <= 200; ++i) a.AppendRow({i, i % 10});
   for (TermId i = 1; i <= 150; ++i) b.AppendRow({i % 10, i});
   uint64_t morsels = 0;
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(16), &morsels);
+  BindingSet par = Join(a, b, nullptr, Spec(16), &morsels);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
   EXPECT_GT(morsels, 1u);
 }
 
-TEST_F(ParallelJoinTest, MatchesJoinOnCrossProduct) {
+TEST_F(ShardedJoinTest, MatchesJoinOnCrossProduct) {
   BindingSet a({1}), b({2});
   for (TermId i = 1; i <= 40; ++i) a.AppendRow({i});
   for (TermId i = 1; i <= 30; ++i) b.AppendRow({i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(8), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(8), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
-TEST_F(ParallelJoinTest, MatchesJoinWithUnboundBuildRows) {
+TEST_F(ShardedJoinTest, MatchesJoinWithUnboundBuildRows) {
   // Unbound join-key cells on the build side force the single-shard
   // fallback (partial rows are emitted after bucket matches); the result
   // must still be bit-identical to the sequential join.
@@ -137,15 +137,15 @@ TEST_F(ParallelJoinTest, MatchesJoinWithUnboundBuildRows) {
   for (TermId i = 1; i <= 30; ++i)
     a.AppendRow({i, i % 3 == 0 ? kUnboundTerm : i % 5});
   for (TermId i = 1; i <= 90; ++i) b.AppendRow({i % 5, i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(8), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(8), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
-TEST_F(ParallelJoinTest, MatchesJoinOnMultiVariableKey) {
+TEST_F(ShardedJoinTest, MatchesJoinOnMultiVariableKey) {
   BindingSet a({1, 2, 3}), b({2, 3, 4});
   for (TermId i = 1; i <= 120; ++i) a.AppendRow({i, i % 4, i % 6});
   for (TermId i = 1; i <= 80; ++i) b.AppendRow({i % 4, i % 6, i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(16), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(16), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
@@ -298,7 +298,7 @@ TEST_P(ParallelEngineTest, CandidateSeededEvaluationMatchesFilteredUnpruned) {
     spec.pool = pool_.get();
     spec.parallelism = parallelism;
     spec.morsel_size = 4;
-    BindingSet par = engine.ParallelEvaluate(bgp, &cands, nullptr, nullptr, spec);
+    BindingSet par = engine.Evaluate(bgp, &cands, nullptr, nullptr, spec);
     EXPECT_TRUE(BitIdentical(par, got)) << "parallelism " << parallelism;
   }
 }
@@ -369,8 +369,8 @@ TEST_P(ParallelEngineTest, SinglePatternBgpsBitIdenticalToSequential) {
           spec.parallelism = parallelism;
           spec.morsel_size = morsel_size;
           BgpEvalCounters par_counters;
-          BindingSet par = engine.ParallelEvaluate(bgps[b], &cases[c],
-                                                   &par_counters, nullptr, spec);
+          BindingSet par = engine.Evaluate(bgps[b], &cases[c],
+                                           &par_counters, nullptr, spec);
           EXPECT_TRUE(BitIdentical(par, seq))
               << "bgp " << b << ", case " << c << ", parallelism "
               << parallelism << ", morsel size " << morsel_size;

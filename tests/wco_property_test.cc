@@ -4,8 +4,9 @@
 // variable), each checked three ways:
 //
 //   1. WcoEngine::Evaluate == HashJoinEngine::Evaluate as row bags;
-//   2. ParallelEvaluate at parallelism 1/2/8 with morsels of 1/64 rows is
-//      bit-identical to Evaluate (schema, cells, row order);
+//   2. Evaluate with a ParallelSpec at parallelism 1/2/8 and morsels of
+//      1/64 rows is bit-identical to Evaluate without one (schema, cells,
+//      row order);
 //   3. the rows come out strictly ascending in RowOrder: extension alone
 //      keeps them so, which is what lets the engine skip the final sort
 //      when no variable predicate (residual pattern) follows; residual
@@ -158,8 +159,7 @@ class WcoPropertyTest : public ::testing::Test {
         spec.pool = &pool_;
         spec.parallelism = parallelism;
         spec.morsel_size = morsel;
-        BindingSet par =
-            wco.ParallelEvaluate(bgp, cands, nullptr, nullptr, spec);
+        BindingSet par = wco.Evaluate(bgp, cands, nullptr, nullptr, spec);
         ASSERT_EQ(par.schema(), got.schema());
         ASSERT_EQ(par.size(), got.size());
         ASSERT_EQ(RowsInOrder(par), RowsInOrder(got))
