@@ -326,7 +326,9 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
       num_shards = std::max<size_t>(
           1, std::min(spec.EffectiveWorkers(), spec.MorselCount(build.size())));
     num_morsels = spec.MorselCount(stream.size());
-    if (morsels != nullptr)
+    // A one-morsel probe runs inline (and then the build is one shard too,
+    // being the smaller side): only a split probe issues tasks.
+    if (morsels != nullptr && num_morsels > 1)
       *morsels += num_morsels + (num_shards > 1 ? num_shards : 0);
   }
 

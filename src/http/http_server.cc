@@ -146,7 +146,7 @@ struct HttpConnection {
   // --- immutable after accept ---
   std::shared_ptr<HttpWaker> waker;
   size_t high_water = 0;
-  Counter* bytes_written = nullptr;  ///< Null when metrics are off.
+  Counter* bytes_written = nullptr;  ///< The server's byte counter.
 
   explicit HttpConnection(const HttpRequestParser::Limits& limits)
       : parser(limits) {}
@@ -171,8 +171,7 @@ size_t SendNow(HttpConnection& conn, std::string_view data) {
       break;
     }
   }
-  if (sent > 0 && conn.bytes_written != nullptr)
-    conn.bytes_written->Increment(static_cast<uint64_t>(sent));
+  if (sent > 0) conn.bytes_written->Increment(static_cast<uint64_t>(sent));
   return sent;
 }
 
@@ -340,7 +339,33 @@ bool HttpExchange::client_gone() const {
 // ----------------------------------------------------------------------
 
 HttpServer::HttpServer(Options options, Handler handler)
-    : options_(std::move(options)), handler_(std::move(handler)) {}
+    : options_(std::move(options)),
+      handler_(std::move(handler)),
+      accepted_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_connections_accepted_total",
+          "TCP connections accepted")),
+      requests_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_requests_total",
+          "HTTP requests dispatched to the handler")),
+      parse_errors_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_parse_errors_total",
+          "Requests rejected by the HTTP parser (4xx/5xx before dispatch)")),
+      idle_timeouts_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_timeouts_total",
+          "Connections closed by a server-side timeout", "kind=\"idle\"")),
+      stall_timeouts_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_timeouts_total",
+          "Connections closed by a server-side timeout",
+          "kind=\"write_stall\"")),
+      bytes_read_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_io_bytes_total", "Bytes moved over HTTP connections",
+          "direction=\"read\"")),
+      bytes_written_total_(MetricRegistry::Global().GetCounter(
+          "sparqluo_http_io_bytes_total", "Bytes moved over HTTP connections",
+          "direction=\"write\"")),
+      active_gauge_(MetricRegistry::Global().GetGauge(
+          "sparqluo_http_connections_active",
+          "Currently open HTTP connections")) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -391,35 +416,6 @@ Status HttpServer::Start() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   ev.data.u64 = kWakerKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, waker_->efd, &ev);
-
-  if (options_.enable_metrics) {
-    MetricRegistry& reg = MetricRegistry::Global();
-    accepted_total_ = reg.GetCounter("sparqluo_http_connections_accepted_total",
-                                     "TCP connections accepted");
-    requests_total_ = reg.GetCounter("sparqluo_http_requests_total",
-                                     "HTTP requests dispatched to the handler");
-    parse_errors_total_ = reg.GetCounter(
-        "sparqluo_http_parse_errors_total",
-        "Requests rejected by the HTTP parser (4xx/5xx before dispatch)");
-    idle_timeouts_total_ =
-        reg.GetCounter("sparqluo_http_timeouts_total",
-                       "Connections closed by a server-side timeout",
-                       "kind=\"idle\"");
-    stall_timeouts_total_ =
-        reg.GetCounter("sparqluo_http_timeouts_total",
-                       "Connections closed by a server-side timeout",
-                       "kind=\"write_stall\"");
-    bytes_read_total_ =
-        reg.GetCounter("sparqluo_http_io_bytes_total",
-                       "Bytes moved over HTTP connections",
-                       "direction=\"read\"");
-    bytes_written_total_ =
-        reg.GetCounter("sparqluo_http_io_bytes_total",
-                       "Bytes moved over HTTP connections",
-                       "direction=\"write\"");
-    active_gauge_ = reg.GetGauge("sparqluo_http_connections_active",
-                                 "Currently open HTTP connections");
-  }
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -515,8 +511,8 @@ void HttpServer::AcceptConnections() {
     conn->armed_read = true;
     connections_[conn->key] = std::move(conn);
     active_.fetch_add(1, std::memory_order_relaxed);
-    if (accepted_total_ != nullptr) accepted_total_->Increment();
-    if (active_gauge_ != nullptr) active_gauge_->Add(1);
+    accepted_total_->Increment();
+    active_gauge_->Add(1);
   }
 }
 
@@ -538,8 +534,7 @@ void HttpServer::ReadSome(const std::shared_ptr<HttpConnection>& conn) {
     if (conn->handling) break;  // reads paused; kernel buffers pipelining
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      if (bytes_read_total_ != nullptr)
-        bytes_read_total_->Increment(static_cast<uint64_t>(n));
+      bytes_read_total_->Increment(static_cast<uint64_t>(n));
       conn->last_read_activity = SteadyClock::now();
       conn->parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
       if (conn->parser.state() != HttpRequestParser::State::kNeedMore) break;
@@ -578,7 +573,7 @@ void HttpServer::MaybeDispatch(const std::shared_ptr<HttpConnection>& conn) {
       HttpRequest request = conn->parser.TakeRequest();
       conn->handling = true;
       UpdateInterest(conn, false, conn->armed_write);
-      if (requests_total_ != nullptr) requests_total_->Increment();
+      requests_total_->Increment();
       std::shared_ptr<HttpExchange> exchange(
           new HttpExchange(conn, std::move(request)));
       try {
@@ -596,7 +591,7 @@ void HttpServer::MaybeDispatch(const std::shared_ptr<HttpConnection>& conn) {
       return;
     }
     case HttpRequestParser::State::kError: {
-      if (parse_errors_total_ != nullptr) parse_errors_total_->Increment();
+      parse_errors_total_->Increment();
       conn->handling = true;  // no further dispatch on this connection
       UpdateInterest(conn, false, conn->armed_write);
       int status = conn->parser.error_status();
@@ -630,8 +625,7 @@ void HttpServer::FlushOut(const std::shared_ptr<HttpConnection>& conn) {
                        front->size() - conn->front_consumed, MSG_NOSIGNAL);
     if (n > 0) {
       progressed = true;
-      if (bytes_written_total_ != nullptr)
-        bytes_written_total_->Increment(static_cast<uint64_t>(n));
+      bytes_written_total_->Increment(static_cast<uint64_t>(n));
       conn->front_consumed += static_cast<size_t>(n);
       if (conn->front_consumed == front->size()) {
         std::lock_guard<std::mutex> lk(conn->mu);
@@ -695,7 +689,7 @@ void HttpServer::CloseConnection(const std::shared_ptr<HttpConnection>& conn) {
   }
   conn->cv.notify_all();  // unblock any producer stuck in Enqueue
   active_.fetch_sub(1, std::memory_order_relaxed);
-  if (active_gauge_ != nullptr) active_gauge_->Add(-1);
+  active_gauge_->Add(-1);
 }
 
 void HttpServer::SweepTimeouts() {
@@ -711,11 +705,11 @@ void HttpServer::SweepTimeouts() {
     }
   }
   for (const auto& conn : idle) {
-    if (idle_timeouts_total_ != nullptr) idle_timeouts_total_->Increment();
+    idle_timeouts_total_->Increment();
     CloseConnection(conn);
   }
   for (const auto& conn : stalled) {
-    if (stall_timeouts_total_ != nullptr) stall_timeouts_total_->Increment();
+    stall_timeouts_total_->Increment();
     CloseConnection(conn);
   }
 }

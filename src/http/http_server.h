@@ -154,8 +154,6 @@ class HttpServer {
     size_t max_connections = 10'000;
     /// Response-queue bytes at which HttpExchange::Write blocks.
     size_t out_queue_high_water = 4 * 1024 * 1024;
-    /// Register sparqluo_http_* metrics in MetricRegistry::Global().
-    bool enable_metrics = true;
   };
 
   using Handler = std::function<void(std::shared_ptr<HttpExchange>)>;
@@ -212,15 +210,16 @@ class HttpServer {
   std::unordered_map<uint64_t, std::shared_ptr<HttpConnection>> connections_;
   uint64_t next_key_ = 2;  ///< Next connection's epoll key (0, 1: see .cc).
 
-  // Null when Options::enable_metrics is false.
-  Counter* accepted_total_ = nullptr;
-  Counter* requests_total_ = nullptr;
-  Counter* parse_errors_total_ = nullptr;
-  Counter* idle_timeouts_total_ = nullptr;
-  Counter* stall_timeouts_total_ = nullptr;
-  Counter* bytes_read_total_ = nullptr;
-  Counter* bytes_written_total_ = nullptr;
-  Gauge* active_gauge_ = nullptr;
+  // sparqluo_http_* series in MetricRegistry::Global(), resolved at
+  // construction.
+  Counter* const accepted_total_;
+  Counter* const requests_total_;
+  Counter* const parse_errors_total_;
+  Counter* const idle_timeouts_total_;
+  Counter* const stall_timeouts_total_;
+  Counter* const bytes_read_total_;
+  Counter* const bytes_written_total_;
+  Gauge* const active_gauge_;
 
   std::mutex lifecycle_mu_;  ///< Serializes Start/Stop.
 };

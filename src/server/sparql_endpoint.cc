@@ -1,6 +1,9 @@
 #include "server/sparql_endpoint.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cassert>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -13,21 +16,32 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// Per-status-code response counter (interned in the global registry, so
-/// completion hooks can record it without referencing the endpoint).
-Counter* ResponseCounter(int status, bool enabled) {
-  if (!enabled) return nullptr;
-  return MetricRegistry::Global().GetCounter(
-      "sparqluo_http_responses_total", "HTTP responses by status code",
-      "code=\"" + std::to_string(status) + "\"");
+/// Per-status-code response counter. Each code's series is resolved from
+/// the global registry on its first response and cached here, so later
+/// responses cost one atomic load; completion hooks can record it without
+/// referencing the endpoint.
+Counter* ResponseCounter(int status) {
+  static std::array<std::atomic<Counter*>, 600> by_code{};
+  assert(status >= 100 && status < 600);
+  std::atomic<Counter*>& slot = by_code[static_cast<size_t>(status)];
+  Counter* c = slot.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    c = MetricRegistry::Global().GetCounter(
+        "sparqluo_http_responses_total", "HTTP responses by status code",
+        "code=\"" + std::to_string(status) + "\"");
+    slot.store(c, std::memory_order_release);
+  }
+  return c;
 }
 
-Histogram* RequestLatencyHistogram(bool enabled) {
-  if (!enabled) return nullptr;
-  return MetricRegistry::Global().GetHistogram(
+void ObserveLatency(SteadyClock::time_point start) {
+  static Histogram* const latency = MetricRegistry::Global().GetHistogram(
       "sparqluo_http_request_ms",
       "HTTP request latency, from dispatch to the response handed to the "
       "connection (ms)");
+  latency->Observe(
+      std::chrono::duration<double, std::milli>(SteadyClock::now() - start)
+          .count());
 }
 
 /// Maps an engine Status to the HTTP status code of the error response.
@@ -68,9 +82,8 @@ int HttpStatusFor(const Status& status, const ExecMetrics* metrics) {
 
 /// Sends a plain-text response and counts it.
 void Reply(const std::shared_ptr<HttpExchange>& exchange, int status,
-           std::string body, bool metrics_enabled,
-           std::vector<HttpHeader> extra_headers = {}) {
-  if (Counter* c = ResponseCounter(status, metrics_enabled)) c->Increment();
+           std::string body, std::vector<HttpHeader> extra_headers = {}) {
+  ResponseCounter(status)->Increment();
   exchange->Respond(status, "text/plain; charset=utf-8", std::move(body),
                     std::move(extra_headers));
 }
@@ -78,21 +91,12 @@ void Reply(const std::shared_ptr<HttpExchange>& exchange, int status,
 /// Error response for a failed engine Status (503s carry Retry-After).
 void ReplyStatus(const std::shared_ptr<HttpExchange>& exchange,
                  const Status& status, const ExecMetrics* metrics,
-                 int retry_after_seconds, bool metrics_enabled) {
+                 int retry_after_seconds) {
   int http = HttpStatusFor(status, metrics);
   std::vector<HttpHeader> extra;
   if (http == 503 && retry_after_seconds > 0)
     extra.push_back({"Retry-After", std::to_string(retry_after_seconds)});
-  Reply(exchange, http, status.ToString() + "\n", metrics_enabled,
-        std::move(extra));
-}
-
-void ObserveLatency(SteadyClock::time_point start, bool enabled) {
-  if (Histogram* h = RequestLatencyHistogram(enabled)) {
-    h->Observe(std::chrono::duration<double, std::milli>(SteadyClock::now() -
-                                                         start)
-                   .count());
-  }
+  Reply(exchange, http, status.ToString() + "\n", std::move(extra));
 }
 
 /// Answers a finished query: an error status, or the rows streamed in
@@ -101,12 +105,12 @@ void ObserveLatency(SteadyClock::time_point start, bool enabled) {
 void AnswerQuery(const std::shared_ptr<HttpExchange>& exchange,
                  const QueryResponse& r, const Dictionary& dict,
                  WireFormat format, bool accept_empty, size_t flush_bytes,
-                 int retry_after, bool metrics_on) {
+                 int retry_after) {
   if (!r.status.ok() || r.plan == nullptr) {
     Status status = r.status.ok()
                         ? Status::Internal("query succeeded without a plan")
                         : r.status;
-    ReplyStatus(exchange, status, &r.metrics, retry_after, metrics_on);
+    ReplyStatus(exchange, status, &r.metrics, retry_after);
     return;
   }
   const bool is_construct = r.plan->query.form == QueryForm::kConstruct;
@@ -114,11 +118,10 @@ void AnswerQuery(const std::shared_ptr<HttpExchange>& exchange,
   if (format == WireFormat::kNTriples && !is_construct) {
     Reply(exchange, 406,
           "not acceptable: application/n-triples serves CONSTRUCT "
-          "results only\n",
-          metrics_on);
+          "results only\n");
     return;
   }
-  if (Counter* c = ResponseCounter(200, metrics_on)) c->Increment();
+  ResponseCounter(200)->Increment();
   if (!exchange->BeginStreaming(200, WireFormatContentType(format))) return;
   StreamingResultWriter writer(
       format,
@@ -172,40 +175,35 @@ SparqlEndpoint::~SparqlEndpoint() { Stop(); }
 
 void SparqlEndpoint::Handle(std::shared_ptr<HttpExchange> exchange) {
   const HttpRequest& request = exchange->request();
-  const bool metrics_on = options_.enable_metrics;
   if (request.path == "/healthz") {
     if (request.method != "GET")
-      return Reply(exchange, 405, "method not allowed\n", metrics_on,
-                   {{"Allow", "GET"}});
-    return Reply(exchange, 200, "ok\n", metrics_on);
+      return Reply(exchange, 405, "method not allowed\n", {{"Allow", "GET"}});
+    return Reply(exchange, 200, "ok\n");
   }
   if (request.path == "/metrics") {
     if (request.method != "GET")
-      return Reply(exchange, 405, "method not allowed\n", metrics_on,
-                   {{"Allow", "GET"}});
-    if (Counter* c = ResponseCounter(200, metrics_on)) c->Increment();
+      return Reply(exchange, 405, "method not allowed\n", {{"Allow", "GET"}});
+    ResponseCounter(200)->Increment();
     return exchange->Respond(200, "text/plain; version=0.0.4; charset=utf-8",
                              MetricRegistry::Global().RenderPrometheus());
   }
   if (request.path == "/sparql") return HandleSparql(exchange);
   if (request.path == "/update") return HandleUpdate(exchange);
-  Reply(exchange, 404, "no such route: " + request.path + "\n", metrics_on);
+  Reply(exchange, 404, "no such route: " + request.path + "\n");
 }
 
 void SparqlEndpoint::HandleSparql(
     const std::shared_ptr<HttpExchange>& exchange) {
   const HttpRequest& request = exchange->request();
-  const bool metrics_on = options_.enable_metrics;
   if (request.method != "GET" && request.method != "POST")
-    return Reply(exchange, 405, "method not allowed\n", metrics_on,
+    return Reply(exchange, 405, "method not allowed\n",
                  {{"Allow", "GET, POST"}});
 
   // Collect parameters: always the URL query string, plus — for POST — a
   // form body, or the whole body as query text for the direct media type.
   std::vector<std::pair<std::string, std::string>> params;
   if (!ParseFormUrlEncoded(request.query_string, &params))
-    return Reply(exchange, 400, "malformed percent-encoding in query string\n",
-                 metrics_on);
+    return Reply(exchange, 400, "malformed percent-encoding in query string\n");
   std::string query_text;
   bool have_query = false;
   if (request.method == "POST") {
@@ -215,7 +213,7 @@ void SparqlEndpoint::HandleSparql(
       std::vector<std::pair<std::string, std::string>> body_params;
       if (!ParseFormUrlEncoded(request.body, &body_params))
         return Reply(exchange, 400,
-                     "malformed percent-encoding in form body\n", metrics_on);
+                     "malformed percent-encoding in form body\n");
       for (auto& kv : body_params) params.push_back(std::move(kv));
     } else if (media == "application/sparql-query") {
       query_text = request.body;
@@ -224,8 +222,7 @@ void SparqlEndpoint::HandleSparql(
       return Reply(exchange, 415,
                    "unsupported media type: use "
                    "application/x-www-form-urlencoded or "
-                   "application/sparql-query\n",
-                   metrics_on);
+                   "application/sparql-query\n");
     }
   }
   std::chrono::milliseconds timeout{0};
@@ -236,12 +233,11 @@ void SparqlEndpoint::HandleSparql(
     } else if (key == "timeout") {
       if (!ParseTimeoutMs(value, &timeout))
         return Reply(exchange, 400,
-                     "bad timeout parameter (integer milliseconds)\n",
-                     metrics_on);
+                     "bad timeout parameter (integer milliseconds)\n");
     }
   }
   if (!have_query || query_text.empty())
-    return Reply(exchange, 400, "missing query parameter\n", metrics_on);
+    return Reply(exchange, 400, "missing query parameter\n");
   if (options_.max_timeout.count() > 0 &&
       (timeout.count() == 0 || timeout > options_.max_timeout)) {
     timeout = options_.max_timeout;
@@ -254,8 +250,7 @@ void SparqlEndpoint::HandleSparql(
                  "not acceptable: supported result formats are "
                  "application/sparql-results+json, "
                  "text/tab-separated-values and "
-                 "application/n-triples (CONSTRUCT only)\n",
-                 metrics_on);
+                 "application/n-triples (CONSTRUCT only)\n");
   // With no Accept preference a CONSTRUCT response upgrades to N-Triples
   // (the natural triples format); the decision needs the parsed query
   // form, so it happens in the completion hook.
@@ -272,11 +267,11 @@ void SparqlEndpoint::HandleSparql(
   // query is still in flight.
   qr.on_complete = [exchange, dict = &dict_, format, accept_empty,
                     flush_bytes = options_.flush_bytes,
-                    retry_after = options_.retry_after_seconds, metrics_on,
+                    retry_after = options_.retry_after_seconds,
                     start = SteadyClock::now()](const QueryResponse& r) {
     AnswerQuery(exchange, r, *dict, format, accept_empty, flush_bytes,
-                retry_after, metrics_on);
-    ObserveLatency(start, metrics_on);
+                retry_after);
+    ObserveLatency(start);
   };
   // The future is intentionally dropped: the response flows through the
   // completion hook (including inline admission rejections).
@@ -286,18 +281,15 @@ void SparqlEndpoint::HandleSparql(
 void SparqlEndpoint::HandleUpdate(
     const std::shared_ptr<HttpExchange>& exchange) {
   const HttpRequest& request = exchange->request();
-  const bool metrics_on = options_.enable_metrics;
   if (request.method != "POST")
-    return Reply(exchange, 405, "method not allowed\n", metrics_on,
-                 {{"Allow", "POST"}});
+    return Reply(exchange, 405, "method not allowed\n", {{"Allow", "POST"}});
   const std::string* ct = request.FindHeader("Content-Type");
   std::string media = MediaTypeOf(ct != nullptr ? *ct : "");
   std::string update_text;
   if (media == "application/x-www-form-urlencoded") {
     std::vector<std::pair<std::string, std::string>> params;
     if (!ParseFormUrlEncoded(request.body, &params))
-      return Reply(exchange, 400, "malformed percent-encoding in form body\n",
-                   metrics_on);
+      return Reply(exchange, 400, "malformed percent-encoding in form body\n");
     for (const auto& [key, value] : params)
       if (key == "update") update_text = value;
   } else if (media == "application/sparql-update") {
@@ -306,23 +298,21 @@ void SparqlEndpoint::HandleUpdate(
     return Reply(exchange, 415,
                  "unsupported media type: use "
                  "application/x-www-form-urlencoded or "
-                 "application/sparql-update\n",
-                 metrics_on);
+                 "application/sparql-update\n");
   }
   if (update_text.empty())
-    return Reply(exchange, 400, "missing update parameter\n", metrics_on);
+    return Reply(exchange, 400, "missing update parameter\n");
 
   UpdateRequest ur;
   ur.text = std::move(update_text);
   ur.on_complete = [exchange, retry_after = options_.retry_after_seconds,
-                    metrics_on,
                     start = SteadyClock::now()](const UpdateResponse& r) {
     if (r.status.ok()) {
-      Reply(exchange, 200, "ok\n", metrics_on);
+      Reply(exchange, 200, "ok\n");
     } else {
-      ReplyStatus(exchange, r.status, nullptr, retry_after, metrics_on);
+      ReplyStatus(exchange, r.status, nullptr, retry_after);
     }
-    ObserveLatency(start, metrics_on);
+    ObserveLatency(start);
   };
   service_.SubmitUpdate(std::move(ur));
 }

@@ -49,8 +49,6 @@ class SparqlEndpoint {
     int retry_after_seconds = 1;
     /// Streaming serializer flush granularity (bytes per response chunk).
     size_t flush_bytes = StreamingResultWriter::kDefaultFlushBytes;
-    /// Record sparqluo_http_responses_total / sparqluo_http_request_ms.
-    bool enable_metrics = true;
   };
 
   /// `service` and `dict` (the database's term dictionary, shared across

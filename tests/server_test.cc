@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "server/plan_cache.h"
 #include "server/query_service.h"
 #include "workload/lubm_generator.h"
@@ -500,6 +503,96 @@ TEST(ServiceStatsTest, DisabledMetricsSkipHistogram) {
   EXPECT_EQ(snap.rows_returned, 3u);
   EXPECT_EQ(snap.latency_samples, 0u);
   EXPECT_EQ(snap.p50_ms, 0.0);
+}
+
+// Each service's Stats() counts only its own requests, while the global
+// registry series they both mirror rises by the sum.
+TEST(ServiceStatsTest, TwoServicesCountOnlyTheirOwn) {
+  Database db;
+  Term p = Term::Iri("http://ex.org/p");
+  db.AddTriple(Term::Iri("http://ex.org/s"), p, Term::Iri("http://ex.org/o"));
+  db.Finalize(EngineKind::kWco);
+
+  Counter* completed_total = MetricRegistry::Global().GetCounter(
+      "sparqluo_queries_completed_total");
+  const uint64_t before = completed_total->value();
+  QueryService first(db, {.num_threads = 2});
+  QueryService second(db, {.num_threads = 2});
+  auto run = [](QueryService& service, size_t n) {
+    std::vector<QueryRequest> batch;
+    for (size_t i = 0; i < n; ++i)
+      batch.push_back({.text = "SELECT ?s WHERE { ?s ?p ?o }"});
+    for (const auto& r : service.RunBatch(std::move(batch)))
+      ASSERT_TRUE(r.status.ok());
+  };
+  run(first, 3);
+  run(second, 5);
+
+  ServiceStatsSnapshot a = first.Stats();
+  ServiceStatsSnapshot b = second.Stats();
+  EXPECT_EQ(a.submitted, 3u);
+  EXPECT_EQ(a.completed, 3u);
+  EXPECT_EQ(a.latency_samples, 3u);
+  EXPECT_EQ(b.submitted, 5u);
+  EXPECT_EQ(b.completed, 5u);
+  EXPECT_EQ(b.latency_samples, 5u);
+  EXPECT_EQ(completed_total->value() - before, 8u);
+}
+
+// Record* from several threads while another thread snapshots: counters
+// never run backwards mid-flight and the final counts are exact.
+TEST(ServiceStatsTest, RecordWhileSnapshotting) {
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 2000;
+  ServiceStats stats;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last_completed = 0;
+    while (!done.load()) {
+      ServiceStatsSnapshot s = stats.Snapshot();
+      EXPECT_GE(s.completed, last_completed);
+      last_completed = s.completed;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&stats, t] {
+      ExecMetrics ok;
+      ok.bgp.morsels = 2;
+      ExecMetrics aborted;
+      aborted.aborted = true;
+      aborted.abort_reason = AbortReason::kDeadline;
+      CommitStats commit;
+      commit.inserted = 1;
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        stats.RecordSubmitted();
+        stats.RecordFinished(Status(), ok, 1.0, 3, /*deduped=*/i % 2 == 0);
+        stats.RecordFinished(Status::ResourceExhausted("deadline"), aborted,
+                             2.0, 0);
+        stats.RecordUpdateSubmitted();
+        commit.version = t * kPerThread + i + 1;
+        stats.RecordUpdateFinished(Status(), commit);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true);
+  reader.join();
+
+  constexpr uint64_t kEach = kThreads * kPerThread;
+  ServiceStatsSnapshot s = stats.Snapshot();
+  EXPECT_EQ(s.submitted, kEach);
+  EXPECT_EQ(s.completed, kEach);
+  EXPECT_EQ(s.aborted_deadline, kEach);
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.deduped, kEach / 2);
+  EXPECT_EQ(s.rows_returned, 3 * kEach);
+  EXPECT_EQ(s.morsels, 2 * kEach);
+  EXPECT_EQ(s.latency_samples, 2 * kEach);
+  EXPECT_EQ(s.updates_submitted, kEach);
+  EXPECT_EQ(s.updates_committed, kEach);
+  EXPECT_EQ(s.triples_inserted, kEach);
+  EXPECT_EQ(s.store_version, kEach);
 }
 
 // A ~0 threshold makes every query slow: the counter matches the workload

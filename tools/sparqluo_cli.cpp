@@ -41,9 +41,9 @@
 //   --deadline-ms N           per-query deadline in milliseconds
 //   --no-plan-cache           disable the shared plan cache (batch serving)
 //   --result-cache-mb N       byte budget for the version-keyed result
-//                             cache in MiB (default 64; batch serving)
-//   --no-result-cache         disable the result cache and in-flight
-//                             query dedup (batch serving)
+//                             cache in MiB (default 64; 0 disables the
+//                             cache and in-flight query dedup; batch
+//                             serving)
 //   --update-file FILE        apply SPARQL INSERT DATA / DELETE DATA
 //                             blocks (blank-line separated) after loading,
 //                             each block committed as one version
@@ -130,7 +130,6 @@ struct CliOptions {
   size_t repeat = 1;
   long deadline_ms = 0;
   bool plan_cache = true;
-  bool result_cache = true;
   size_t result_cache_mb = 64;
   std::string query;
   std::string query_file;
@@ -259,7 +258,7 @@ int Usage(const char* argv0) {
                "[--max-rows N] [--parallelism N] [--concurrency N] "
                "[--repeat K] [--deadline-ms N] [--slow-query-ms N] "
                "[--slow-query-sample K] [--no-plan-cache] "
-               "[--result-cache-mb N] [--no-result-cache] "
+               "[--result-cache-mb N] "
                "[--update-file FILE] [--wal-dir DIR [--fsync always|off|N]] "
                "[--serve PORT [--bind ADDR]] [QUERY | UPDATE]\n";
   return 2;
@@ -376,8 +375,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->deadline_ms = std::atol(v);
     } else if (arg == "--no-plan-cache") {
       opts->plan_cache = false;
-    } else if (arg == "--no-result-cache") {
-      opts->result_cache = false;
     } else if (arg == "--result-cache-mb") {
       const char* v = next();
       if (!v) return false;
@@ -418,6 +415,20 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
          opts->lubm > 0 || opts->dbpedia > 0;
 }
 
+/// Service options shared by batch serving and --serve.
+QueryService::Options ServiceOptions(const CliOptions& opts) {
+  QueryService::Options sopts;
+  sopts.num_threads = opts.concurrency;  // 0 = hardware threads
+  sopts.enable_plan_cache = opts.plan_cache;
+  sopts.result_cache_bytes = opts.result_cache_mb << 20;
+  sopts.intra_query_parallelism = opts.parallelism;
+  sopts.slow_query_ms = opts.slow_query_ms;
+  sopts.slow_query_sample = opts.slow_query_sample;
+  if (opts.deadline_ms > 0)
+    sopts.default_deadline = std::chrono::milliseconds(opts.deadline_ms);
+  return sopts;
+}
+
 /// Batch serving: submits every collected block (x repeat) to a
 /// QueryService and reports per-block outcomes plus aggregate stats.
 /// Queries are submitted concurrently; update blocks act as barriers —
@@ -425,21 +436,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
 /// serving resumes against the new version.
 int RunService(Database& db, const CliOptions& opts,
                const std::vector<std::string>& blocks, TraceSink* sink) {
-  QueryService::Options sopts;
-  sopts.num_threads = opts.concurrency;
-  sopts.enable_plan_cache = opts.plan_cache;
-  sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
-  sopts.intra_query_parallelism = opts.parallelism;
+  QueryService::Options sopts = ServiceOptions(opts);
   sopts.trace_queries = sink->collect || opts.explain_analyze;
-  sopts.slow_query_ms = opts.slow_query_ms;
-  sopts.slow_query_sample = opts.slow_query_sample;
   // Blocks are submitted up front (between update barriers); size the
   // admission queue to hold them so a big --repeat doesn't trip the
   // overload rejection meant for live traffic.
   sopts.max_queue = std::max<size_t>(sopts.max_queue,
                                      blocks.size() * opts.repeat + 16);
-  if (opts.deadline_ms > 0)
-    sopts.default_deadline = std::chrono::milliseconds(opts.deadline_ms);
   QueryService service(db, sopts);
 
   int rc = 0;
@@ -516,7 +519,7 @@ int RunService(Database& db, const CliOptions& opts,
             << "\n"
             << "result_cache_hit_rate\t"
             << hit_rate(service.ResultCacheStats()) << "\n"
-            << "morsels\t" << stats.bgp.morsels << "\n"
+            << "morsels\t" << stats.morsels << "\n"
             << "updates_committed\t" << stats.updates_committed << "\n"
             << "store_version\t" << stats.store_version << "\n"
             << "triples_inserted\t" << stats.triples_inserted << "\n"
@@ -531,16 +534,7 @@ void RequestShutdown(int) { g_shutdown_requested.store(true); }
 /// --serve mode: a SPARQL Protocol endpoint over the loaded database,
 /// running until SIGINT/SIGTERM.
 int RunServe(Database& db, const CliOptions& opts) {
-  QueryService::Options sopts;
-  sopts.num_threads = opts.concurrency;  // 0 = hardware threads
-  sopts.enable_plan_cache = opts.plan_cache;
-  sopts.result_cache_bytes = opts.result_cache ? opts.result_cache_mb << 20 : 0;
-  sopts.intra_query_parallelism = opts.parallelism;
-  sopts.slow_query_ms = opts.slow_query_ms;
-  sopts.slow_query_sample = opts.slow_query_sample;
-  if (opts.deadline_ms > 0)
-    sopts.default_deadline = std::chrono::milliseconds(opts.deadline_ms);
-  QueryService service(db, sopts);
+  QueryService service(db, ServiceOptions(opts));
 
   SparqlEndpoint::Options eopts;
   eopts.http.bind_address = opts.bind_address;
