@@ -112,7 +112,7 @@ Status PublishFile(FileOps* ops, const std::string& tmp_path,
 
 /// A term that would be rejected by the loader's 16 MiB record cap must
 /// fail the save instead — a file that saves but can never load again is
-/// worse than a failed save. Checked inline in the write loops.
+/// worse than a failed save. Checked inline in the dictionary write loop.
 Status OversizeTermError(TermId id) {
   return Status::InvalidArgument(
       "term " + std::to_string(id) + " exceeds the 16 MiB snapshot term "
@@ -120,39 +120,8 @@ Status OversizeTermError(TermId id) {
 }
 
 // ---------------------------------------------------------------------
-// SPQLUO1: data-only stream format
+// SPQLUO1: data-only stream format (read-only legacy)
 // ---------------------------------------------------------------------
-
-Status SaveSnapshotV1(const Database& db, const SaveSource& src,
-                      const std::string& path, FileOps* ops) {
-  if (!src.store->built())
-    return Status::FailedPrecondition(
-        "SaveSnapshot requires built indexes (the triple view is CSR-"
-        "backed); call Finalize() first");
-  const Dictionary& dict = db.dict();
-  const size_t term_count = dict.size();
-
-  std::string body(kMagicV1, sizeof(kMagicV1));
-  PutU64(&body, term_count);
-  for (TermId id = 0; id < term_count; ++id) {
-    const Term& t = dict.Decode(id);
-    if (!TermFitsRecord(t)) return OversizeTermError(id);
-    AppendTermRecord(&body, t);
-  }
-
-  auto triples = src.store->triples();
-  PutU64(&body, triples.size());
-  body.reserve(body.size() + triples.size() * 12);
-  for (const Triple& t : triples) {
-    PutU32(&body, t.s);
-    PutU32(&body, t.p);
-    PutU32(&body, t.o);
-  }
-
-  const std::string tmp_path = path + ".tmp";
-  SPARQLUO_RETURN_NOT_OK(WriteTmpDurably(ops, tmp_path, {body}));
-  return PublishFile(ops, tmp_path, path);
-}
 
 Status LoadSnapshotV1(const std::string& path, const FileImage& image,
                       Database* db, SnapshotLoadInfo* info) {
@@ -261,7 +230,7 @@ Status SaveSnapshotV2(const Database& db, const SaveSource& src,
   if (!store.built())
     return Status::FailedPrecondition(
         "v2 snapshots serialize the built CSR indexes; call Finalize() "
-        "first (or save format v1)");
+        "first");
   const Dictionary& dict = db.dict();
   const size_t term_count = dict.size();
 
@@ -381,7 +350,7 @@ Status LoadSnapshotV2(const std::string& path,
                " (section 'toc', " + Offset(8) + ")");
   const uint64_t toc_bytes = uint64_t{section_count} * kTocEntryBytes;
   if (kHeaderBytes + toc_bytes > file_size)
-    return err("truncated table of contents (need " +
+    return err("truncated table of contents (section 'toc', need " +
                std::to_string(toc_bytes) + " bytes at " +
                Offset(kHeaderBytes) + ", file is " +
                std::to_string(file_size) + ")");
@@ -600,16 +569,14 @@ Status LoadSnapshotV2(const std::string& path,
 }  // namespace
 
 Status SaveSnapshot(const Database& db, const std::string& path,
-                    SnapshotFormat format, FileOps* ops) {
+                    FileOps* ops) {
   Timer timer;
   ops = ResolveFileOps(ops);
   // Capture one version for the whole save (see SaveSource): the
   // checkpoint must be internally consistent even while a writer commits,
   // and its id is what a successful save checkpoints the WAL to.
   SaveSource src(db);
-  Status s = format == SnapshotFormat::kV2
-                 ? SaveSnapshotV2(db, src, path, ops)
-                 : SaveSnapshotV1(db, src, path, ops);
+  Status s = SaveSnapshotV2(db, src, path, ops);
   if (s.ok()) {
     MetricRegistry::Global()
         .GetHistogram("sparqluo_snapshot_save_ms",

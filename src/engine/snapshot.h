@@ -1,23 +1,20 @@
-// Binary database snapshots.
+// Binary database snapshots (docs/snapshot_format.md is the full
+// specification, including layout tables, validation rules and the
+// versioning policy).
 //
-// Two on-disk formats (docs/snapshot_format.md is the full specification,
-// including layout tables, validation rules and the versioning policy):
+// SaveSnapshot writes one format, SPQLUO2: the finalized database —
+// chunked dictionary, all three CSR permutation indexes (level-1
+// directories, offset arrays, level-2 pair arrays) and Statistics — as
+// 8-byte-aligned, individually CRC-32-checksummed sections behind a
+// table-of-contents header. Loading mmaps the file (or falls back to one
+// buffered read) and points the store at the section views — zero
+// per-triple work, so the follow-up Finalize() only instantiates engine +
+// executor.
 //
-//   SPQLUO1 — data only: dictionary terms and raw (s, p, o) id records.
-//     Loading streams the records back into the staging store; the caller
-//     then pays a full Finalize() (dictionary interning + three CSR
-//     permutation sorts) to rebuild the indexes.
-//
-//   SPQLUO2 — the finalized database: chunked dictionary, all three CSR
-//     permutation indexes (level-1 directories, offset arrays, level-2
-//     pair arrays) and Statistics, as 8-byte-aligned, individually
-//     CRC-32-checksummed sections behind a table-of-contents header.
-//     Loading mmaps the file (or falls back to one buffered read) and
-//     points the store at the section views — zero per-triple work, so
-//     the follow-up Finalize() only instantiates engine + executor.
-//
-// SaveSnapshot picks the format explicitly; LoadSnapshot dispatches on the
-// magic, so both formats load through one entry point.
+// LoadSnapshot also reads the legacy data-only SPQLUO1 format (dictionary
+// terms and raw (s, p, o) id records, streamed back into the staging
+// store; the caller's Finalize() then rebuilds the indexes). It dispatches
+// on the magic, so both formats load through one entry point.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +26,8 @@
 
 namespace sparqluo {
 
-/// On-disk snapshot format. kV1 stays both readable and writable for
-/// compatibility; kV2 is the mmap-friendly section format.
+/// The format a load found: kV1 is the read-only legacy format, kV2 the
+/// mmap-friendly section format every save writes.
 enum class SnapshotFormat : uint8_t { kV1 = 1, kV2 = 2 };
 
 /// Load-time knobs (defaults are right for production use).
@@ -51,9 +48,8 @@ struct SnapshotLoadInfo {
   uint64_t file_bytes = 0;
 };
 
-/// Writes the database to `path`. Both formats require built indexes
-/// (Finalize() or a loaded v2 snapshot): kV1 iterates the SPO index to
-/// emit plain records, kV2 serializes the indexes themselves. The save
+/// Writes the database to `path` as SPQLUO2. The save serializes the built
+/// indexes, so it requires Finalize() (or a loaded v2 snapshot). It
 /// pins the *current committed version* — making it the durable
 /// checkpoint target for the updatable store — and publishes the file
 /// atomically and durably: write-to-temporary, fsync the file, rename,
@@ -68,7 +64,6 @@ struct SnapshotLoadInfo {
 /// `ops` routes the durable-write syscalls (tests inject faults through
 /// it); null uses the real filesystem.
 Status SaveSnapshot(const Database& db, const std::string& path,
-                    SnapshotFormat format = SnapshotFormat::kV1,
                     FileOps* ops = nullptr);
 
 /// Loads a snapshot of either format into an empty database, dispatching

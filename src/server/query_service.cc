@@ -119,7 +119,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
   // time, so the context epoch precedes every span start (the root "query"
   // span and queue_wait both begin at `submitted`).
   if (options_.trace_queries && task->request.trace == nullptr)
-    task->request.trace = std::make_shared<TraceContext>(options_.trace_max_spans);
+    task->request.trace = std::make_shared<TraceContext>();
   task->submitted = std::chrono::steady_clock::now();
   std::future<QueryResponse> future = task->promise.get_future();
   Status reject;

@@ -186,11 +186,10 @@ class QueryService {
     /// no-observability baseline.
     bool enable_metrics = true;
     /// Trace every query (requests without their own TraceContext get a
-    /// service-created one, returned on the response). Off by default:
-    /// tracing is per-request opt-in via QueryRequest::trace.
+    /// service-created one, capped at TraceContext::kDefaultMaxSpans and
+    /// returned on the response). Off by default: tracing is per-request
+    /// opt-in via QueryRequest::trace.
     bool trace_queries = false;
-    /// Span cap for service-created trace contexts.
-    size_t trace_max_spans = TraceContext::kDefaultMaxSpans;
     /// Slow-query log: a finished query whose end-to-end latency reaches
     /// this threshold is counted and (subject to sampling) logged at WARN
     /// with its text and timings. <= 0 disables.

@@ -123,7 +123,7 @@ TEST(CrashChild, Run) {
   }
   if (IsCheckpointPoint(point)) {
     // The crash fires inside the snapshot publish / WAL checkpoint path.
-    Status s = SaveSnapshot(db, dir + "/snap", SnapshotFormat::kV2, &fault);
+    Status s = SaveSnapshot(db, dir + "/snap", &fault);
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
   // Reaching here means the armed point never fired — the parent treats

@@ -5,13 +5,11 @@
 //      schema, same rows, same row order, same TermIds — to the database
 //      that was never snapshotted, for both engines at parallelism 1 and
 //      8, in both the mmap and buffered load modes;
-//   2. the two formats are mutually convertible without drift: loading a
-//      v1 file and re-saving v2 reproduces the direct v2 file byte for
-//      byte, and vice versa;
-//   3. a commit applied on top of a mapped (borrowed-memory) load yields
+//   2. a commit applied on top of a mapped (borrowed-memory) load yields
 //      exactly the owned CSR layout a from-scratch build produces;
-//   4. the committed golden v1 fixture keeps loading and the v1 writer
-//      keeps producing those exact bytes (format-drift canary).
+//   3. the committed golden v1 fixture keeps loading, and re-saving it
+//      reproduces the v2 file of the database it was written from byte
+//      for byte (the legacy reader cannot drift from the v2 writer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,21 +89,16 @@ class SnapshotV2Test : public ::testing::TestWithParam<EngineKind> {
  protected:
   void SetUp() override {
     std::string dir = ::testing::TempDir();
-    v1_path_ = dir + "snapshot_v2_test.v1";
     v2_path_ = dir + "snapshot_v2_test.v2";
-    aux_path_ = dir + "snapshot_v2_test.aux";
     LubmConfig cfg;
     cfg.universities = 1;
     cfg.density = 0.2;
     GenerateLubm(cfg, &original_);
     original_.Finalize(GetParam());
-    ASSERT_TRUE(SaveSnapshot(original_, v1_path_, SnapshotFormat::kV1).ok());
-    ASSERT_TRUE(SaveSnapshot(original_, v2_path_, SnapshotFormat::kV2).ok());
+    ASSERT_TRUE(SaveSnapshot(original_, v2_path_).ok());
   }
   void TearDown() override {
-    std::remove(v1_path_.c_str());
     std::remove(v2_path_.c_str());
-    std::remove(aux_path_.c_str());
   }
 
   /// Loads the v2 file into a fresh finalized database.
@@ -121,7 +114,7 @@ class SnapshotV2Test : public ::testing::TestWithParam<EngineKind> {
   }
 
   Database original_;
-  std::string v1_path_, v2_path_, aux_path_;
+  std::string v2_path_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Engines, SnapshotV2Test,
@@ -180,27 +173,7 @@ TEST_P(SnapshotV2Test, StatisticsRoundTripExactly) {
   }
 }
 
-// Claim 2a: v1 -> v2. Loading the v1 file (full rebuild) and saving v2
-// must reproduce the direct v2 file byte for byte — the rebuild and the
-// persisted indexes cannot drift apart silently.
-TEST_P(SnapshotV2Test, V1LoadResavedAsV2IsByteIdentical) {
-  Database via_v1;
-  ASSERT_TRUE(LoadSnapshot(v1_path_, &via_v1).ok());
-  via_v1.Finalize(GetParam());
-  ASSERT_TRUE(SaveSnapshot(via_v1, aux_path_, SnapshotFormat::kV2).ok());
-  EXPECT_EQ(ReadFileBytes(aux_path_), ReadFileBytes(v2_path_));
-}
-
-// Claim 2b: v2 -> v1. A mapped v2 load re-saved as v1 reproduces the
-// original v1 file byte for byte (dictionary order and SPO iteration
-// order both survive the round trip).
-TEST_P(SnapshotV2Test, V2LoadResavedAsV1IsByteIdentical) {
-  auto via_v2 = LoadV2(true);
-  ASSERT_TRUE(SaveSnapshot(*via_v2, aux_path_, SnapshotFormat::kV1).ok());
-  EXPECT_EQ(ReadFileBytes(aux_path_), ReadFileBytes(v1_path_));
-}
-
-// Claim 3: commits on top of a mapped load. BuildDelta reads the borrowed
+// Claim 2: commits on top of a mapped load. BuildDelta reads the borrowed
 // arrays and must write an owned layout identical to the one produced by
 // committing onto the never-snapshotted database.
 TEST_P(SnapshotV2Test, UpdateAfterMappedLoadCommitsIdentically) {
@@ -242,7 +215,7 @@ TEST_P(SnapshotV2Test, ResaveOverMappedFileIsSafe) {
   auto restored = LoadV2(true);
   const std::string q = Workload()[0];
   const size_t rows_before = RunRaw(*restored, q, 1).size();
-  ASSERT_TRUE(SaveSnapshot(*restored, v2_path_, SnapshotFormat::kV2).ok());
+  ASSERT_TRUE(SaveSnapshot(*restored, v2_path_).ok());
   EXPECT_EQ(RunRaw(*restored, q, 1).size(), rows_before);
   Database again;
   ASSERT_TRUE(LoadSnapshot(v2_path_, &again).ok());
@@ -308,17 +281,19 @@ class SnapshotGoldenTest : public ::testing::Test {
     return db;
   }
 
+  static std::string GoldenV1Path() {
+    return std::string(SPARQLUO_TEST_DATA_DIR) + "/golden_v1.snapshot";
+  }
+
   std::string path_;
 };
 
 // The committed golden v1 fixture still loads and answers a smoke query;
 // any incompatible change to the v1 reader breaks this first.
 TEST_F(SnapshotGoldenTest, CommittedV1FixtureLoads) {
-  const std::string golden = std::string(SPARQLUO_TEST_DATA_DIR) +
-                             "/golden_v1.snapshot";
   Database db;
   SnapshotLoadInfo info;
-  ASSERT_TRUE(LoadSnapshot(golden, &db, {}, &info).ok());
+  ASSERT_TRUE(LoadSnapshot(GoldenV1Path(), &db, {}, &info).ok());
   EXPECT_EQ(info.format, SnapshotFormat::kV1);
   db.Finalize();
   EXPECT_EQ(db.size(), 4u);
@@ -328,24 +303,25 @@ TEST_F(SnapshotGoldenTest, CommittedV1FixtureLoads) {
   EXPECT_EQ(r->size(), 1u);
 }
 
-// The v1 *writer* still produces exactly the committed bytes; any writer
-// change that would strand existing snapshot files fails here.
-TEST_F(SnapshotGoldenTest, V1WriterReproducesCommittedFixtureBytes) {
-  Database db = BuildGoldenDatabase();
-  ASSERT_TRUE(SaveSnapshot(db, path_, SnapshotFormat::kV1).ok());
-  EXPECT_EQ(ReadFileBytes(path_),
-            ReadFileBytes(std::string(SPARQLUO_TEST_DATA_DIR) +
-                          "/golden_v1.snapshot"))
-      << "v1 writer output drifted from tests/data/golden_v1.snapshot; if "
-         "the format changed on purpose, bump the magic instead";
+// Claim 3: v1 -> v2. Loading the fixture (full rebuild) and saving v2
+// must reproduce the v2 file of the database the fixture was written
+// from, byte for byte: the legacy reader and the persisted indexes
+// cannot drift apart silently.
+TEST_F(SnapshotGoldenTest, V1LoadResavedAsV2IsByteIdentical) {
+  Database via_v1;
+  ASSERT_TRUE(LoadSnapshot(GoldenV1Path(), &via_v1).ok());
+  via_v1.Finalize();
+  const std::string resaved = path_ + ".resaved";
+  ASSERT_TRUE(SaveSnapshot(via_v1, resaved).ok());
+  ASSERT_TRUE(SaveSnapshot(BuildGoldenDatabase(), path_).ok());
+  EXPECT_EQ(ReadFileBytes(resaved), ReadFileBytes(path_));
+  std::remove(resaved.c_str());
 }
 
 // Error-reporting regression (both formats): a short file must name the
 // failing section and byte offset, not just say "read error".
 TEST_F(SnapshotGoldenTest, V1TruncationErrorsNameSectionAndOffset) {
-  Database db = BuildGoldenDatabase();
-  ASSERT_TRUE(SaveSnapshot(db, path_, SnapshotFormat::kV1).ok());
-  std::string bytes = ReadFileBytes(path_);
+  std::string bytes = ReadFileBytes(GoldenV1Path());
   // Cut inside the term section (just past the first record's kind byte).
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), 17);
@@ -368,7 +344,7 @@ TEST_F(SnapshotGoldenTest, V1TruncationErrorsNameSectionAndOffset) {
 
 TEST_F(SnapshotGoldenTest, V2TruncationErrorsNameSectionAndOffset) {
   Database db = BuildGoldenDatabase();
-  ASSERT_TRUE(SaveSnapshot(db, path_, SnapshotFormat::kV2).ok());
+  ASSERT_TRUE(SaveSnapshot(db, path_).ok());
   std::string bytes = ReadFileBytes(path_);
   // Keep the header and TOC but amputate the payloads: every section
   // lands out of bounds, and the error must say which one and where.

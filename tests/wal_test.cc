@@ -482,7 +482,7 @@ TEST(WalTest, SnapshotCheckpointAndReplayBitIdentical) {
     ASSERT_TRUE(db.OpenWal(dir, {}).ok());
     for (int i = 1; i <= 3; ++i) ASSERT_TRUE(db.Apply(InsertBatch(i)).ok());
     // Checkpoint at v3, then two more commits that only the log holds.
-    ASSERT_TRUE(SaveSnapshot(db, snap, SnapshotFormat::kV2).ok());
+    ASSERT_TRUE(SaveSnapshot(db, snap).ok());
     ASSERT_EQ(db.wal()->checkpoint_version(), 3u);
     for (int i = 4; i <= 5; ++i) ASSERT_TRUE(db.Apply(InsertBatch(i)).ok());
   }
@@ -508,13 +508,13 @@ TEST(SnapshotFaultTest, SaveFailuresLeavePriorSnapshotIntact) {
   db.AddTriple(Term::Iri("http://ex/s"), Term::Iri("http://ex/p"),
                Term::Literal("v1"));
   db.Finalize(EngineKind::kWco);
-  ASSERT_TRUE(SaveSnapshot(db, path, SnapshotFormat::kV2).ok());
+  ASSERT_TRUE(SaveSnapshot(db, path).ok());
   std::string good = ReadFileBytes(path);
 
   // File-fsync failure: the temporary must not replace the good file.
   FaultInjectionFileOps fault;
   fault.FailFsync(/*nth=*/0, EIO, /*sticky=*/true);
-  Status s = SaveSnapshot(db, path, SnapshotFormat::kV2, &fault);
+  Status s = SaveSnapshot(db, path, &fault);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_EQ(ReadFileBytes(path), good);
@@ -522,14 +522,14 @@ TEST(SnapshotFaultTest, SaveFailuresLeavePriorSnapshotIntact) {
   // Write failure mid-stream: same guarantee.
   fault.Disarm();
   fault.FailWrite(/*nth=*/0, ENOSPC, /*sticky=*/true);
-  s = SaveSnapshot(db, path, SnapshotFormat::kV2, &fault);
+  s = SaveSnapshot(db, path, &fault);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_EQ(ReadFileBytes(path), good);
 
   // And once the device behaves, saving over the survivor works.
   fault.Disarm();
-  ASSERT_TRUE(SaveSnapshot(db, path, SnapshotFormat::kV2, &fault).ok());
+  ASSERT_TRUE(SaveSnapshot(db, path, &fault).ok());
   EXPECT_GT(fault.fsyncs(), 0);
   EXPECT_GT(fault.dir_syncs(), 0);
   EXPECT_EQ(ReadFileBytes(path), good);

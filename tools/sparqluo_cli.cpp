@@ -1,69 +1,10 @@
 // sparqluo command-line shell.
 //
-// Usage:
-//   sparqluo_cli --data FILE.nt [options] [QUERY | --query-file FILE]
-//   sparqluo_cli --lubm N  [options] ...       (generate LUBM with N univs)
-//   sparqluo_cli --dbpedia N [options] ...     (generate N-article DBpedia)
-//   sparqluo_cli --snapshot FILE.bin ...       (reload a binary snapshot)
-//   ... --save-snapshot FILE.bin               (persist the loaded data)
+//   sparqluo_cli (--data FILE.nt | --lubm N | --dbpedia N | --snapshot FILE)
+//                [options] [QUERY | UPDATE]
 //
-// Options:
-//   --snapshot-format v1|v2   format for --save-snapshot (default v2: the
-//                             mmap section format; v1 = data-only records,
-//                             see docs/snapshot_format.md). --snapshot
-//                             loads either format, auto-detected.
-//   --engine wco|hashjoin     BGP engine (default wco)
-//   --mode base|tt|cp|full    optimization level (default full)
-//   --format tsv|csv|json|nt  output format (default tsv; CONSTRUCT
-//                             queries default to nt = N-Triples)
-//   --explain                 print the BE-tree before/after transformation
-//   --explain-analyze         trace each query and print the span tree
-//                             (phase timings, per-BGP/morsel spans) after it
-//   --trace-out FILE          write one Chrome-trace-event JSON file
-//                             covering every executed query (load it in
-//                             Perfetto or chrome://tracing)
-//   --metrics-out FILE        write the process metrics registry in
-//                             Prometheus text format on exit
-//   --paper-queries           append the paper's benchmark queries
-//                             (Appendix A, q1.1-q2.6) to the query batch:
-//                             the DBpedia ones with --dbpedia, else LUBM's
-//   --slow-query-ms N         log queries at/over N ms at WARN (serving)
-//   --slow-query-sample K     log every Kth slow query (default 1 = all)
-//   --stats                   print dataset statistics and exit
-//   --max-rows N              abort when an intermediate exceeds N rows
-//   --parallelism N           intra-query parallelism: evaluate each BGP
-//                             with up to N workers via morsel-driven
-//                             execution (0 = all hardware threads; results
-//                             are bit-identical to sequential execution)
-//   --concurrency N           serve the query batch through a QueryService
-//                             with N worker threads (enables batch serving)
-//   --repeat K                submit each query K times (batch serving)
-//   --deadline-ms N           per-query deadline in milliseconds
-//   --no-plan-cache           disable the shared plan cache (batch serving)
-//   --result-cache-mb N       byte budget for the version-keyed result
-//                             cache in MiB (default 64; 0 disables the
-//                             cache and in-flight query dedup; batch
-//                             serving)
-//   --update-file FILE        apply SPARQL INSERT DATA / DELETE DATA
-//                             blocks (blank-line separated) after loading,
-//                             each block committed as one version
-//   --wal-dir DIR             durable commits: every update is written to
-//                             a write-ahead log in DIR before it becomes
-//                             visible, and opening replays whatever the
-//                             log holds past the loaded snapshot
-//                             (docs/durability.md). --save-snapshot
-//                             checkpoints the log.
-//   --fsync always|off|N      WAL durability policy (default always):
-//                             fsync before acknowledging each commit, never,
-//                             or in the background every N milliseconds
-//   --serve PORT              serve the loaded data over HTTP as a SPARQL
-//                             Protocol endpoint (docs/http_endpoint.md):
-//                             GET/POST /sparql, POST /update, /metrics,
-//                             /healthz. PORT 0 picks an ephemeral port
-//                             (printed on startup). --concurrency sizes the
-//                             worker pool, --deadline-ms the default query
-//                             deadline. SIGINT/SIGTERM shut down gracefully.
-//   --bind ADDR               listen address for --serve (default 127.0.0.1)
+// kFlags below is the one list of options: it drives parsing and the usage
+// text, which any unknown option or malformed value prints (exit 2).
 //
 // Without a query argument, reads blocks from stdin (one per blank-line-
 // separated block; end with EOF). A block whose first operation is INSERT
@@ -76,14 +17,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "betree/builder.h"
@@ -97,6 +42,7 @@
 #include "optimizer/well_designed.h"
 #include "server/query_service.h"
 #include "server/sparql_endpoint.h"
+#include "store/wal.h"
 #include "util/timer.h"
 #include "workload/dbpedia_generator.h"
 #include "workload/lubm_generator.h"
@@ -110,7 +56,6 @@ struct CliOptions {
   std::string data_file;
   std::string snapshot_in;
   std::string snapshot_out;
-  SnapshotFormat snapshot_format = SnapshotFormat::kV2;
   size_t lubm = 0;
   size_t dbpedia = 0;
   EngineKind engine = EngineKind::kWco;
@@ -135,9 +80,157 @@ struct CliOptions {
   std::string query_file;
   std::string update_file;
   std::string wal_dir;
-  std::string fsync = "always";
+  std::string fsync = "always";  ///< As given; parsed into `wal`.
+  Wal::Options wal;
   long serve_port = -1;  ///< >= 0 switches to HTTP serving (0 = ephemeral).
   std::string bind_address = "127.0.0.1";
+};
+
+/// The one parser for numeric flag values: the whole text must be a
+/// non-negative decimal that fits T — no sign, no trailing junk, no
+/// "inf" or "nan".
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text)) && *text != '.')
+    return false;
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Stores the value paired with `text`; false when no name matches.
+template <typename T>
+bool Choose(const char* text,
+            std::initializer_list<std::pair<const char*, T>> choices,
+            T* out) {
+  for (const auto& [name, value] : choices) {
+    if (std::strcmp(text, name) == 0) {
+      *out = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+template <std::string CliOptions::*field>
+bool SetText(CliOptions* opts, const char* value) {
+  opts->*field = value;
+  return true;
+}
+
+template <auto field>
+bool SetNumber(CliOptions* opts, const char* value) {
+  return ParseNumber(value, &(opts->*field));
+}
+
+template <bool CliOptions::*field, bool on = true>
+bool SetSwitch(CliOptions* opts, const char*) {
+  opts->*field = on;
+  return true;
+}
+
+/// One command-line option: the table below drives both parsing and the
+/// usage text.
+struct Flag {
+  const char* name;
+  const char* metavar;  ///< Null for a switch, which takes no value.
+  const char* help;
+  /// Stores the value (null for a switch); false rejects it.
+  bool (*set)(CliOptions* opts, const char* value);
+};
+
+constexpr Flag kFlags[] = {
+    {"--data", "FILE.nt", "load N-Triples (Turtle when FILE ends in .ttl)",
+     SetText<&CliOptions::data_file>},
+    {"--lubm", "N", "generate LUBM with N universities",
+     SetNumber<&CliOptions::lubm>},
+    {"--dbpedia", "N", "generate a DBpedia-like graph of N articles",
+     SetNumber<&CliOptions::dbpedia>},
+    {"--snapshot", "FILE", "load a binary snapshot (SPQLUO1 or SPQLUO2)",
+     SetText<&CliOptions::snapshot_in>},
+    {"--save-snapshot", "FILE", "save the loaded data as an SPQLUO2 snapshot",
+     SetText<&CliOptions::snapshot_out>},
+    {"--engine", "wco|hashjoin", "BGP engine (default wco)",
+     [](CliOptions* o, const char* v) {
+       return Choose(v, {{"wco", EngineKind::kWco},
+                         {"hashjoin", EngineKind::kHashJoin}},
+                     &o->engine);
+     }},
+    {"--mode", "base|tt|cp|full", "optimization level (default full)",
+     [](CliOptions* o, const char* v) {
+       return Choose(v, {{"base", ExecOptions::Base()},
+                         {"tt", ExecOptions::TT()},
+                         {"cp", ExecOptions::CP()},
+                         {"full", ExecOptions::Full()}},
+                     &o->exec);
+     }},
+    {"--format", "tsv|csv|json|nt",
+     "output format (default tsv; nt for CONSTRUCT)",
+     [](CliOptions* o, const char* v) {
+       o->format_set = true;
+       return Choose(v, {{"tsv", ResultFormat::kTsv},
+                         {"csv", ResultFormat::kCsv},
+                         {"json", ResultFormat::kJson},
+                         {"nt", ResultFormat::kNTriples}},
+                     &o->format);
+     }},
+    {"--explain", nullptr, "print the BE-tree before/after transformation",
+     SetSwitch<&CliOptions::explain>},
+    {"--explain-analyze", nullptr, "trace each query and print its span tree",
+     SetSwitch<&CliOptions::explain_analyze>},
+    {"--trace-out", "FILE", "write a Chrome-trace JSON of every query",
+     SetText<&CliOptions::trace_out>},
+    {"--metrics-out", "FILE", "write the metrics in Prometheus text on exit",
+     SetText<&CliOptions::metrics_out>},
+    {"--paper-queries", nullptr,
+     "append the paper's queries (DBpedia's with --dbpedia)",
+     SetSwitch<&CliOptions::paper_queries>},
+    {"--stats", nullptr, "print dataset statistics and exit",
+     SetSwitch<&CliOptions::stats_only>},
+    {"--max-rows", "N", "abort when an intermediate exceeds N rows",
+     [](CliOptions* o, const char* v) {
+       return ParseNumber(v, &o->exec.max_intermediate_rows);
+     }},
+    {"--parallelism", "N",
+     "intra-query workers per BGP (default 1; 0 = all cores)",
+     SetNumber<&CliOptions::parallelism>},
+    {"--concurrency", "N", "serve the batch through a QueryService, N workers",
+     SetNumber<&CliOptions::concurrency>},
+    {"--repeat", "K", "run each query K times", SetNumber<&CliOptions::repeat>},
+    {"--deadline-ms", "N", "per-query deadline in milliseconds",
+     SetNumber<&CliOptions::deadline_ms>},
+    {"--slow-query-ms", "N", "log queries at/over N ms at WARN (serving)",
+     SetNumber<&CliOptions::slow_query_ms>},
+    {"--slow-query-sample", "K", "log every Kth slow query (default 1 = all)",
+     SetNumber<&CliOptions::slow_query_sample>},
+    {"--no-plan-cache", nullptr, "disable the shared plan cache (serving)",
+     SetSwitch<&CliOptions::plan_cache, false>},
+    {"--result-cache-mb", "N",
+     "result cache MiB (default 64; 0 = off, no dedup)",
+     SetNumber<&CliOptions::result_cache_mb>},
+    {"--query-file", "FILE", "run the query or update in FILE",
+     SetText<&CliOptions::query_file>},
+    {"--update-file", "FILE", "commit each update block in FILE after loading",
+     SetText<&CliOptions::update_file>},
+    {"--wal-dir", "DIR", "log commits durably in DIR; replay it on startup",
+     SetText<&CliOptions::wal_dir>},
+    {"--fsync", "always|off|N",
+     "WAL fsync: each commit (default), off, or every N ms",
+     [](CliOptions* o, const char* v) {
+       o->fsync = v;
+       Result<FsyncPolicy> policy = ParseFsyncPolicy(v, &o->wal.interval_ms);
+       if (policy.ok()) o->wal.fsync = *policy;
+       return policy.ok();
+     }},
+    {"--serve", "PORT", "serve SPARQL over HTTP on PORT (0 = ephemeral)",
+     [](CliOptions* o, const char* v) {
+       uint16_t port;
+       if (!ParseNumber(v, &port)) return false;
+       o->serve_port = port;
+       return true;
+     }},
+    {"--bind", "ADDR", "listen address for --serve (default 127.0.0.1)",
+     SetText<&CliOptions::bind_address>},
 };
 
 /// Splits text into blank-line-separated blocks.
@@ -250,167 +343,47 @@ int RunUpdate(Database& db, const std::string& text) {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " (--data FILE.nt | --lubm N | --dbpedia N | --snapshot FILE) "
-               "[--save-snapshot FILE] [--snapshot-format v1|v2] [--engine "
-               "wco|hashjoin] [--mode base|tt|cp|full] [--format "
-               "tsv|csv|json|nt] [--explain] [--explain-analyze] [--trace-out "
-               "FILE] [--metrics-out FILE] [--paper-queries] [--stats] "
-               "[--max-rows N] [--parallelism N] [--concurrency N] "
-               "[--repeat K] [--deadline-ms N] [--slow-query-ms N] "
-               "[--slow-query-sample K] [--no-plan-cache] "
-               "[--result-cache-mb N] "
-               "[--update-file FILE] [--wal-dir DIR [--fsync always|off|N]] "
-               "[--serve PORT [--bind ADDR]] [QUERY | UPDATE]\n";
+            << " (--data FILE.nt | --lubm N | --dbpedia N | --snapshot FILE)"
+               " [options] [QUERY | UPDATE]\noptions:\n";
+  for (const Flag& flag : kFlags) {
+    std::string left = flag.name;
+    if (flag.metavar != nullptr) left = left + " " + flag.metavar;
+    std::cerr << "  " << std::left << std::setw(26) << left << flag.help
+              << "\n";
+  }
   return 2;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* opts) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--data") {
-      const char* v = next();
-      if (!v) return false;
-      opts->data_file = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (!v) return false;
-      opts->snapshot_in = v;
-    } else if (arg == "--save-snapshot") {
-      const char* v = next();
-      if (!v) return false;
-      opts->snapshot_out = v;
-    } else if (arg == "--snapshot-format") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "v1") == 0) {
-        opts->snapshot_format = SnapshotFormat::kV1;
-      } else if (std::strcmp(v, "v2") == 0) {
-        opts->snapshot_format = SnapshotFormat::kV2;
-      } else {
+    const char* arg = argv[i];
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return std::strcmp(arg, f.name) == 0; });
+    if (flag == std::end(kFlags)) {
+      if (arg[0] == '-') {
+        std::cerr << "unknown option " << arg << "\n";
         return false;
       }
-    } else if (arg == "--lubm") {
-      const char* v = next();
-      if (!v) return false;
-      opts->lubm = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--dbpedia") {
-      const char* v = next();
-      if (!v) return false;
-      opts->dbpedia = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "wco") == 0) {
-        opts->engine = EngineKind::kWco;
-      } else if (std::strcmp(v, "hashjoin") == 0) {
-        opts->engine = EngineKind::kHashJoin;
-      } else {
-        return false;
-      }
-    } else if (arg == "--mode") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "base") == 0) opts->exec = ExecOptions::Base();
-      else if (std::strcmp(v, "tt") == 0) opts->exec = ExecOptions::TT();
-      else if (std::strcmp(v, "cp") == 0) opts->exec = ExecOptions::CP();
-      else if (std::strcmp(v, "full") == 0) opts->exec = ExecOptions::Full();
-      else return false;
-    } else if (arg == "--format") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "tsv") == 0) opts->format = ResultFormat::kTsv;
-      else if (std::strcmp(v, "csv") == 0) opts->format = ResultFormat::kCsv;
-      else if (std::strcmp(v, "json") == 0) opts->format = ResultFormat::kJson;
-      else if (std::strcmp(v, "nt") == 0) opts->format = ResultFormat::kNTriples;
-      else return false;
-      opts->format_set = true;
-    } else if (arg == "--explain") {
-      opts->explain = true;
-    } else if (arg == "--explain-analyze") {
-      opts->explain_analyze = true;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      opts->trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      opts->metrics_out = v;
-    } else if (arg == "--paper-queries") {
-      opts->paper_queries = true;
-    } else if (arg == "--slow-query-ms") {
-      const char* v = next();
-      if (!v) return false;
-      opts->slow_query_ms = std::atof(v);
-    } else if (arg == "--slow-query-sample") {
-      const char* v = next();
-      if (!v) return false;
-      opts->slow_query_sample = static_cast<size_t>(std::atol(v));
-      if (opts->slow_query_sample == 0) opts->slow_query_sample = 1;
-    } else if (arg == "--stats") {
-      opts->stats_only = true;
-    } else if (arg == "--max-rows") {
-      const char* v = next();
-      if (!v) return false;
-      opts->exec.max_intermediate_rows = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--parallelism") {
-      const char* v = next();
-      if (!v) return false;
-      opts->parallelism = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--concurrency") {
-      const char* v = next();
-      if (!v) return false;
-      opts->concurrency = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--repeat") {
-      const char* v = next();
-      if (!v) return false;
-      opts->repeat = static_cast<size_t>(std::atol(v));
-      if (opts->repeat == 0) opts->repeat = 1;
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (!v) return false;
-      opts->deadline_ms = std::atol(v);
-    } else if (arg == "--no-plan-cache") {
-      opts->plan_cache = false;
-    } else if (arg == "--result-cache-mb") {
-      const char* v = next();
-      if (!v) return false;
-      opts->result_cache_mb = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--query-file") {
-      const char* v = next();
-      if (!v) return false;
-      opts->query_file = v;
-    } else if (arg == "--update-file") {
-      const char* v = next();
-      if (!v) return false;
-      opts->update_file = v;
-    } else if (arg == "--wal-dir") {
-      const char* v = next();
-      if (!v) return false;
-      opts->wal_dir = v;
-    } else if (arg == "--fsync") {
-      const char* v = next();
-      if (!v) return false;
-      opts->fsync = v;
-    } else if (arg == "--serve") {
-      const char* v = next();
-      if (!v) return false;
-      opts->serve_port = std::atol(v);
-      if (opts->serve_port < 0 || opts->serve_port > 65535) return false;
-    } else if (arg == "--bind") {
-      const char* v = next();
-      if (!v) return false;
-      opts->bind_address = v;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option " << arg << "\n";
-      return false;
-    } else {
       opts->query = arg;
+      continue;
+    }
+    const char* value = nullptr;
+    if (flag->metavar != nullptr) {
+      if (i + 1 == argc) {
+        std::cerr << "missing value for " << arg << "\n";
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (!flag->set(opts, value)) {
+      std::cerr << "bad value for " << arg << ": " << value << "\n";
+      return false;
     }
   }
+  // A count of 0 means "once" and "every slow query".
+  opts->repeat = std::max<size_t>(opts->repeat, 1);
+  opts->slow_query_sample = std::max<size_t>(opts->slow_query_sample, 1);
   return !opts->data_file.empty() || !opts->snapshot_in.empty() ||
          opts->lubm > 0 || opts->dbpedia > 0;
 }
@@ -715,14 +688,7 @@ int main(int argc, char** argv) {
   // Durable commits: attach the write-ahead log and replay whatever it
   // holds past the loaded snapshot before anything can observe the store.
   if (!opts.wal_dir.empty()) {
-    Wal::Options wopts;
-    Result<FsyncPolicy> policy = ParseFsyncPolicy(opts.fsync, &wopts.interval_ms);
-    if (!policy.ok()) {
-      std::cerr << "bad --fsync: " << policy.status().ToString() << "\n";
-      return 1;
-    }
-    wopts.fsync = *policy;
-    Result<WalRecoveryInfo> recovered = db.OpenWal(opts.wal_dir, wopts);
+    Result<WalRecoveryInfo> recovered = db.OpenWal(opts.wal_dir, opts.wal);
     if (!recovered.ok()) {
       std::cerr << "wal recovery failed: " << recovered.status().ToString()
                 << "\n";
@@ -756,14 +722,13 @@ int main(int argc, char** argv) {
   // Saved after --update-file so the snapshot captures the committed
   // state (SaveSnapshot reads the current version).
   if (!opts.snapshot_out.empty()) {
-    Status st = SaveSnapshot(db, opts.snapshot_out, opts.snapshot_format);
+    Status st = SaveSnapshot(db, opts.snapshot_out);
     if (!st.ok()) {
       std::cerr << "snapshot save failed: " << st.ToString() << "\n";
       return 1;
     }
-    std::cerr << "# snapshot written to " << opts.snapshot_out << " (format v"
-              << (opts.snapshot_format == SnapshotFormat::kV2 ? 2 : 1)
-              << ")\n";
+    std::cerr << "# snapshot written to " << opts.snapshot_out
+              << " (format v2)\n";
   }
 
   if (opts.serve_port >= 0) {
