@@ -8,7 +8,6 @@
 // reproduction target, not absolute times.
 #pragma once
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -61,6 +60,8 @@ struct RunResult {
   double transform_ms = 0.0;
   double join_space = 0.0;
   size_t rows = 0;
+  size_t merges = 0;
+  size_t injects = 0;
 };
 
 /// Runs one query under one approach with the row-limit guard.
@@ -73,6 +74,8 @@ inline RunResult RunQuery(Database& db, const std::string& sparql,
   out.transform_ms = m.transform_ms;
   out.total_ms = m.transform_ms + m.exec_ms;
   out.join_space = m.join_space;
+  out.merges = m.transform.merges;
+  out.injects = m.transform.injects;
   if (r.ok()) {
     out.ok = true;
     out.rows = r->size();
@@ -80,15 +83,6 @@ inline RunResult RunQuery(Database& db, const std::string& sparql,
     out.oom = true;
   }
   return out;
-}
-
-/// Formats a time cell; OOM cells mirror the paper's absent bars.
-inline std::string TimeCell(const RunResult& r) {
-  if (r.oom) return "OOM";
-  if (!r.ok) return "err";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", r.total_ms);
-  return buf;
 }
 
 }  // namespace sparqluo::bench

@@ -157,15 +157,15 @@ class TreeEvaluator {
     const CandidateMap* cands_ptr = nullptr;
     if (options_.candidate_pruning && cand_source != nullptr &&
         !cand_source->schema().empty() && !cand_source->empty()) {
-      // Adaptive mode: the threshold is the estimated BGP result size,
+      // Full mode's adaptive threshold: the estimated BGP result size,
       // floored by the dataset-size-based default — a small *estimated
       // result* does not mean the BGP is cheap to evaluate unpruned, so
       // the floor keeps pruning engaged for selective candidate sets
-      // (§6's fallback rule).
+      // (§6's fallback rule). CP alone uses the fixed default.
       double fixed = options_.fixed_threshold_fraction *
                      static_cast<double>(store_.size());
       double threshold =
-          options_.adaptive_threshold
+          options_.tree_transform
               ? std::max(engine_.EstimateCardinality(bgp), fixed)
               : fixed;
       ScopedSpan cand_span(options_.trace, "candidates",

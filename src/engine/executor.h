@@ -22,11 +22,10 @@ struct ExecOptions {
   bool tree_transform = false;
   bool candidate_pruning = false;
   /// Fixed CP threshold as a fraction of the store's triple count
-  /// (the paper's CP mode uses 1%).
+  /// (the paper's CP mode uses 1%). Full mode (tree_transform and
+  /// candidate_pruning both on) raises the threshold to the estimated BGP
+  /// result size when that is larger: the adaptive threshold.
   double fixed_threshold_fraction = 0.01;
-  /// Adaptive threshold (full mode): prune only when the candidate bag is
-  /// smaller than the estimated BGP result size.
-  bool adaptive_threshold = false;
   /// Cooperative guard: evaluation aborts with ResourceExhausted once an
   /// intermediate binding table exceeds this many rows (the benchmark
   /// harness's stand-in for the paper's out-of-memory condition).
@@ -69,7 +68,6 @@ struct ExecOptions {
     ExecOptions o;
     o.tree_transform = true;
     o.candidate_pruning = true;
-    o.adaptive_threshold = true;
     return o;
   }
   const char* Name() const {

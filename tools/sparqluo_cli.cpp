@@ -158,11 +158,17 @@ constexpr Flag kFlags[] = {
      }},
     {"--mode", "base|tt|cp|full", "optimization level (default full)",
      [](CliOptions* o, const char* v) {
-       return Choose(v, {{"base", ExecOptions::Base()},
-                         {"tt", ExecOptions::TT()},
-                         {"cp", ExecOptions::CP()},
-                         {"full", ExecOptions::Full()}},
-                     &o->exec);
+       // Only the mode switches: --max-rows may come before or after.
+       ExecOptions mode;
+       if (!Choose(v, {{"base", ExecOptions::Base()},
+                       {"tt", ExecOptions::TT()},
+                       {"cp", ExecOptions::CP()},
+                       {"full", ExecOptions::Full()}},
+                   &mode))
+         return false;
+       o->exec.tree_transform = mode.tree_transform;
+       o->exec.candidate_pruning = mode.candidate_pruning;
+       return true;
      }},
     {"--format", "tsv|csv|json|nt",
      "output format (default tsv; nt for CONSTRUCT)",
